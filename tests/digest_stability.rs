@@ -1,11 +1,17 @@
 //! Digest stability: every checked-in `scenarios/*.scenario`, run through
-//! the simulator, must reproduce the golden `arch_digest` values captured
-//! from the pre-refactor core (PR 4) and keep its register accounting
-//! clean. This is the contract that lets the hot loop be refactored for
-//! speed: any change to the committed architectural trace — however small
-//! — shows up as a digest mismatch here.
+//! the simulator, must reproduce two golden digests per cell and keep its
+//! register accounting clean:
 //!
-//! To re-capture the goldens after an *intentional* architectural change:
+//! - `arch_digest`, the committed architectural trace, captured from the
+//!   pre-refactor core;
+//! - a timing digest, FNV-1a over the `SimStats::encode` bytes of the
+//!   end-of-run stats (cycles and every counter).
+//!
+//! This is the contract that lets the hot loop be refactored for speed:
+//! any change to the committed trace or to the cycle count — however
+//! small — shows up as a digest mismatch here.
+//!
+//! To re-capture the goldens after an *intentional* model change:
 //!
 //! ```text
 //! REGSHARE_UPDATE_GOLDENS=1 cargo test --test digest_stability
@@ -15,7 +21,8 @@
 //! of why the trace legitimately changed.
 
 use regshare::bench::Scenario;
-use regshare::core::Simulator;
+use regshare::core::{SimStats, Simulator};
+use regshare::types::snapshot::{Snap, SnapWriter};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -50,8 +57,18 @@ fn scenario_paths() -> Vec<PathBuf> {
     paths
 }
 
+/// FNV-1a over the canonical snapshot encoding of `stats`.
+fn stats_digest(stats: &SimStats) -> u64 {
+    let mut w = SnapWriter::new();
+    stats.encode(&mut w);
+    w.finish().iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 /// Runs every (scenario × workload × variant) cell and renders one line
-/// per cell: `<scenario>/<workload>/<variant> <digest as 16 hex digits>`.
+/// per cell: `<scenario>/<workload>/<variant> <arch> <timing>`, each
+/// digest as 16 hex digits.
 fn capture() -> String {
     let mut out = String::new();
     for path in scenario_paths() {
@@ -77,10 +94,11 @@ fn capture() -> String {
                 });
                 writeln!(
                     out,
-                    "{}/{}/{label} {:016x}",
+                    "{}/{}/{label} {:016x} {:016x}",
                     scenario.name,
                     wl.name,
-                    sim.arch_digest()
+                    sim.arch_digest(),
+                    stats_digest(sim.stats())
                 )
                 .expect("write to string");
             }
@@ -121,8 +139,8 @@ fn scenario_digests_match_pre_refactor_goldens() {
             ));
         }
         panic!(
-            "committed architectural trace diverged from the pre-refactor \
-             goldens ({} cells checked):\n{}",
+            "committed trace or timing diverged from the goldens \
+             ({} cells checked):\n{}",
             golden.lines().count(),
             diffs.join("\n")
         );
