@@ -32,7 +32,7 @@ options:
   --seeds N          seeds per profile for smoke/soak batches (default 100)
   --seed-base B      first seed (default 1)
   --uops N           µ-ops per (program, preset) run (default 4000)
-  --jobs N           worker threads (default: REGSHARE_JOBS or all cores)
+  --jobs N           worker threads (default: all cores)
   --budget-secs S    soak time budget (default 600)
   --resume PATH      soak: seed-cursor file; if it exists, continue from its
                      recorded seed instead of --seed-base, and keep it

@@ -13,7 +13,7 @@
 //! The image is pinned to its scenario by a digest header over the
 //! scenario's canonical rendering with the window resolved and the
 //! parallelism/checkpoint keys cleared, so resuming is robust to `--jobs`
-//! and to *where* the window came from (flags, file, environment) while a
+//! and to *where* the window came from (flags, file, defaults) while a
 //! different scenario or window is refused with a typed
 //! [`SnapError::ConfigDigestMismatch`]. Each embedded machine snapshot
 //! additionally self-validates against its (configuration, program) pair.

@@ -16,8 +16,7 @@
 //! --help              usage
 //! ```
 //!
-//! Flag > scenario file > deprecated `REGSHARE_*` env var > default, in
-//! that order (see [`crate::options`]).
+//! Flag > scenario file > default, in that order (see [`crate::options`]).
 
 use crate::options::RunOptions;
 use crate::scenario::{preset, Scenario, ScenarioError, SCENARIO_PRESETS};
@@ -131,11 +130,13 @@ impl CliArgs {
     }
 }
 
-/// The `--list-presets` listing (stable output: name, tab, description).
+/// The `--list-presets` listing (stable output: name, then the preset
+/// file's `note`).
 pub fn preset_listing() -> String {
     let mut out = String::from("built-in scenarios (run with --preset <name>):\n");
-    for (name, desc) in SCENARIO_PRESETS {
-        out.push_str(&format!("  {name:<16} {desc}\n"));
+    for (name, _) in SCENARIO_PRESETS {
+        let note = preset(name).expect("listed preset").note;
+        out.push_str(&format!("  {name:<16} {note}\n"));
     }
     out
 }
@@ -164,9 +165,7 @@ pub fn usage(bin: &str, default_preset: &str) -> String {
          [--warmup <uops>] [--measure <uops>] [--jobs <n>] \
          [--checkpoint-every <uops>] [--checkpoint-file <path>] \
          [--resume <file>] [--list-presets] [--list-workloads]\n\
-         default: --preset {default_preset}\n\
-         REGSHARE_WARMUP / REGSHARE_MEASURE / REGSHARE_JOBS env vars are \
-         deprecated fallbacks for the flags above."
+         default: --preset {default_preset}"
     )
 }
 
@@ -288,7 +287,14 @@ mod tests {
     fn listing_names_every_preset() {
         let listing = preset_listing();
         for (name, _) in SCENARIO_PRESETS {
-            assert!(listing.contains(name));
+            let note = preset(name).unwrap().note;
+            assert!(!note.is_empty(), "{name} has no note");
+            assert!(
+                listing
+                    .lines()
+                    .any(|l| l.split_whitespace().next() == Some(name) && l.ends_with(&note)),
+                "{name}'s line does not carry its file note {note:?}"
+            );
         }
     }
 }

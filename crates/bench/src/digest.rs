@@ -13,7 +13,7 @@
 //!   purposes: the window resolved to concrete µ-op counts, and every key
 //!   that may legitimately differ between two equivalent invocations
 //!   (parallelism, checkpoint plumbing) cleared. Where the window *came
-//!   from* (flags, file, environment) can never change an identity.
+//!   from* (flags, file, defaults) can never change an identity.
 //! - [`scenario_digest`] — hash of the normalized canonical rendering;
 //!   pins whole-scenario artifacts (checkpoint images).
 //! - [`cell_digest`] — content address of one (workload × configuration ×

@@ -14,16 +14,6 @@ pub struct RunWindow {
 }
 
 impl RunWindow {
-    /// Default window, overridable via `REGSHARE_WARMUP`/`REGSHARE_MEASURE`.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use RunOptions::window(); the env vars remain as deprecated \
-                fallbacks there"
-    )]
-    pub fn from_env() -> RunWindow {
-        crate::options::RunOptions::default().window()
-    }
-
     /// A fast window for smoke tests.
     pub fn quick() -> RunWindow {
         RunWindow {

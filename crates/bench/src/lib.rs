@@ -13,8 +13,6 @@
 //! output is byte-identical at any parallelism level. [`report`] renders
 //! the shared report format, and [`cli`] gives every binary the same
 //! `--scenario` / `--preset` / `--warmup` / `--measure` / `--jobs` flags.
-//! The `REGSHARE_WARMUP` / `REGSHARE_MEASURE` / `REGSHARE_JOBS` environment
-//! variables survive as deprecated fallbacks behind [`RunOptions`].
 
 #![deny(missing_docs)]
 
@@ -28,20 +26,16 @@ pub mod report;
 pub mod scenario;
 pub mod sweep;
 pub mod table;
-pub mod throughput;
 
 pub use checkpoint::CheckpointError;
 pub use digest::{cell_digest, scenario_digest};
 pub use fuzz::FuzzOptions;
 pub use harness::{measure, measure_program, measure_with, Measurement, RunWindow};
-pub use options::{
-    env_fallbacks, env_parse, RunOptions, ZeroJobsError, DEFAULT_MEASURE, DEFAULT_WARMUP,
-};
+pub use options::{RunOptions, ZeroJobsError, DEFAULT_MEASURE, DEFAULT_WARMUP};
 pub use report::{render_report, run_scenario};
 pub use scenario::{
     preset, valid_name, AsmSource, FuzzSource, Scenario, ScenarioBuilder, ScenarioError,
     VariantSpec, CONFIG_PRESETS, SCENARIO_PRESETS,
 };
-pub use sweep::{jobs_from_env, panic_detail, SweepError, SweepGrid, SweepRow, SweepSpec, Variant};
+pub use sweep::{panic_detail, SweepError, SweepGrid, SweepRow, SweepSpec, Variant};
 pub use table::Table;
-pub use throughput::{measure_preset, measure_scenario, PresetThroughput, ThroughputReport};

@@ -15,7 +15,8 @@
 //!   invalid configs fail with typed [`ScenarioError`]s at
 //!   [`ScenarioBuilder::build`] time instead of silently misbehaving;
 //! - [`preset`] — the named experiments every binary understands
-//!   (`headline`, `smoke`, the paper figures);
+//!   (`headline`, `smoke`, the paper figures), parsed from the checked-in
+//!   `scenarios/<name>.scenario` files;
 //! - [`Scenario::load`] — the `.scenario` file front door used by
 //!   `paper_report --scenario` and `smoke --scenario`.
 
@@ -777,7 +778,7 @@ pub struct Scenario {
     /// Free-text note printed in report headers (empty = none).
     pub note: String,
     /// Window sizes and parallelism; unset fields fall back to the
-    /// deprecated `REGSHARE_*` environment variables, then defaults.
+    /// defaults.
     pub options: RunOptions,
     /// Workload names, resolved against the registry (suite names and
     /// `fuzz-<profile>-<seed>`); empty means the full 36-workload suite —
@@ -1095,119 +1096,33 @@ impl ScenarioBuilder {
     }
 }
 
-/// The built-in named scenarios (`--list-presets` in the binaries). Each
-/// covers one of the paper's experiments end to end.
-pub const SCENARIO_PRESETS: [(&str, &str); 9] = [
-    (
-        "smoke",
-        "quick shape check: ME / SMB / combined on 9 representative workloads",
-    ),
-    (
-        "headline",
-        "paper-vs-measured headline matrix over the full suite",
-    ),
-    ("fig4_baseline", "Figure 4: baseline characterization"),
-    ("fig5_me", "Figure 5: move elimination vs ISRB size"),
-    (
-        "fig6_smb",
-        "Figure 6(a): SMB vs ISRB size (+ NoSQ predictor)",
-    ),
-    (
-        "fig6c_committed",
-        "Figure 6(c): eager vs lazy reclaim (bypass from committed)",
-    ),
-    ("fig7_combined", "Figure 7: ME+SMB combined vs ISRB size"),
-    (
-        "fuzz_smoke",
-        "IPC sweep over a generated fuzz family (differential checks live in the fuzz bin)",
-    ),
-    (
-        "asm_kernels",
-        "assembled real-program corpus under every configuration preset",
-    ),
+/// `(name, file text)` for each entry of `scenarios/` named by `$name`.
+macro_rules! preset_files {
+    ($($name:literal),* $(,)?) => {
+        [$(($name, include_str!(concat!("../../../../scenarios/", $name, ".scenario")))),*]
+    };
+}
+
+/// The built-in named scenarios (`--list-presets` in the binaries), as
+/// `(name, .scenario text)` pairs. Each covers one of the paper's
+/// experiments end to end. The text is the checked-in file itself, so a
+/// preset and `--scenario scenarios/<name>.scenario` are the same input.
+pub const SCENARIO_PRESETS: [(&str, &str); 9] = preset_files![
+    "smoke",
+    "headline",
+    "fig4_baseline",
+    "fig5_me",
+    "fig6_smb",
+    "fig6c_committed",
+    "fig7_combined",
+    "fuzz_smoke",
+    "asm_kernels",
 ];
 
-/// Builds the named preset scenario, or `None` for an unknown name.
+/// Parses the named preset scenario, or `None` for an unknown name.
 pub fn preset(name: &str) -> Option<Scenario> {
-    let b = match name {
-        "smoke" => Scenario::builder("smoke")
-            .note("quick shape check: ME / SMB / combined speedups")
-            .workloads(&[
-                "crafty", "vortex", "hmmer", "astar", "bzip", "namd", "wupwise", "applu", "mcf",
-            ])
-            .variant("base", VariantSpec::hpca16())
-            .variant("me", VariantSpec::preset("me"))
-            .variant("smb", VariantSpec::preset("smb"))
-            .variant("both", VariantSpec::preset("me_smb")),
-        "headline" => Scenario::builder("headline")
-            .note(
-                "paper: ME+SMB geomean +5.5% at 32 ISRB entries, +5.6% unlimited, \
-                 up to +39.6% (applu)",
-            )
-            .variant("base", VariantSpec::hpca16())
-            .variant("meUnl", VariantSpec::preset("me").isrb_entries(0))
-            .variant("smbUnl", VariantSpec::preset("smb").isrb_entries(0))
-            .variant("both32", VariantSpec::preset("me_smb").isrb_entries(32))
-            .variant("bothUnl", VariantSpec::preset("me_smb").isrb_entries(0)),
-        "fig4_baseline" => Scenario::builder("fig4_baseline")
-            .note("paper: IPC spread ~0.5-3.5; trap counts span orders of magnitude")
-            .variant("base", VariantSpec::hpca16()),
-        "fig5_me" => Scenario::builder("fig5_me")
-            .note("paper: a handful of ISRB entries suffice; ~1% gmean, up to ~5%")
-            .variant("base", VariantSpec::hpca16())
-            .variant("me8", VariantSpec::preset("me").isrb_entries(8))
-            .variant("me16", VariantSpec::preset("me").isrb_entries(16))
-            .variant("me32", VariantSpec::preset("me").isrb_entries(32))
-            .variant("meUnl", VariantSpec::preset("me").isrb_entries(0)),
-        "fig6_smb" => Scenario::builder("fig6_smb")
-            .note("paper: SMB needs ~24 entries; TAGE-like > NoSQ-style predictor")
-            .variant("base", VariantSpec::hpca16())
-            .variant("smb16", VariantSpec::preset("smb").isrb_entries(16))
-            .variant("smb24", VariantSpec::preset("smb").isrb_entries(24))
-            .variant("smb32", VariantSpec::preset("smb").isrb_entries(32))
-            .variant("smbUnl", VariantSpec::preset("smb").isrb_entries(0))
-            .variant(
-                "nosqUnl",
-                VariantSpec::preset("smb").isrb_entries(0).distance("nosq"),
-            ),
-        "fig6c_committed" => Scenario::builder("fig6c_committed")
-            .note("paper: generally marginal, harmful at 24 entries, helps latency-bound outliers")
-            .variant("base", VariantSpec::hpca16())
-            .variant("eager-unl", VariantSpec::preset("smb").isrb_entries(0))
-            .variant(
-                "lazy-unl",
-                VariantSpec::preset("lazy_reclaim").isrb_entries(0),
-            )
-            .variant("eager-24", VariantSpec::preset("smb").isrb_entries(24))
-            .variant(
-                "lazy-24",
-                VariantSpec::preset("lazy_reclaim").isrb_entries(24),
-            ),
-        "fig7_combined" => Scenario::builder("fig7_combined")
-            .note("paper: 32 entries ~= unlimited (5.5% vs 5.6% gmean); 24 a good tradeoff")
-            .variant("base", VariantSpec::hpca16())
-            .variant("both16", VariantSpec::preset("me_smb").isrb_entries(16))
-            .variant("both24", VariantSpec::preset("me_smb").isrb_entries(24))
-            .variant("both32", VariantSpec::preset("me_smb").isrb_entries(32))
-            .variant("bothUnl", VariantSpec::preset("me_smb").isrb_entries(0))
-            .variant("meUnl", VariantSpec::preset("me").isrb_entries(0))
-            .variant("smbUnl", VariantSpec::preset("smb").isrb_entries(0)),
-        "fuzz_smoke" => Scenario::builder("fuzz_smoke")
-            .note("generated programs through the standard sweep; seeds are replayable")
-            .fuzz("balanced", 1, 8)
-            .variant("base", VariantSpec::hpca16())
-            .variant("both", VariantSpec::preset("me_smb")),
-        "asm_kernels" => Scenario::builder("asm_kernels")
-            .note("hand-written kernels with real control flow; differential-gated vs the oracle")
-            .asm_corpus()
-            .variant("base", VariantSpec::hpca16())
-            .variant("me", VariantSpec::preset("me"))
-            .variant("smb", VariantSpec::preset("smb"))
-            .variant("both", VariantSpec::preset("me_smb"))
-            .variant("lazy", VariantSpec::preset("lazy_reclaim")),
-        _ => return None,
-    };
-    Some(b.build().expect("presets are valid by construction"))
+    let (_, text) = SCENARIO_PRESETS.iter().find(|(n, _)| *n == name)?;
+    Some(Scenario::parse(text).expect("checked-in preset files parse"))
 }
 
 #[cfg(test)]

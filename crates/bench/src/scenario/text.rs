@@ -535,9 +535,10 @@ mod tests {
 
     #[test]
     fn every_preset_round_trips_exactly() {
-        for (name, _) in SCENARIO_PRESETS {
+        for (name, file) in SCENARIO_PRESETS {
             let s = preset(name).unwrap();
             let text = s.render();
+            assert_eq!(text, file, "{name}.scenario is not in rendered form");
             let back = Scenario::parse(&text).unwrap();
             assert_eq!(back, s, "value round trip for {name}");
             assert_eq!(back.render(), text, "byte-identical render for {name}");

@@ -11,14 +11,15 @@
 //! scheduling order cannot affect any individual result, and because the
 //! grid is assembled by job index rather than completion order, the rendered
 //! tables and `csv:` blocks are byte-identical whether the sweep runs on one
-//! thread or sixteen. `REGSHARE_JOBS` selects the worker count (default:
-//! available parallelism); [`SweepSpec::jobs`] overrides it in code.
+//! thread or sixteen. [`SweepSpec::jobs`] sets the worker count (default:
+//! available parallelism).
 //!
 //! Programs are memoized per workload: each of the synthetic programs is
 //! built exactly once (lazily, by whichever worker first needs it) and
 //! shared read-only across every configuration variant.
 
 use crate::harness::{measure_program, Measurement, RunWindow};
+use crate::options::RunOptions;
 use regshare_core::CoreConfig;
 use regshare_isa::Program;
 use regshare_types::stats::{geomean, speedup_pct};
@@ -101,14 +102,6 @@ pub struct Variant {
     pub cfg: CoreConfig,
 }
 
-/// Worker count from the deprecated `REGSHARE_JOBS` fallback, defaulting
-/// to available parallelism — equivalent to
-/// [`RunOptions::job_count`](crate::options::RunOptions::job_count) with no
-/// explicit jobs value.
-pub fn jobs_from_env() -> usize {
-    crate::options::RunOptions::default().job_count()
-}
-
 /// A declarative (workloads × variants) sweep.
 ///
 /// # Examples
@@ -163,8 +156,8 @@ impl SweepSpec {
         self
     }
 
-    /// Overrides the worker count (otherwise `REGSHARE_JOBS` / available
-    /// parallelism decides).
+    /// Overrides the worker count (otherwise available parallelism
+    /// decides).
     pub fn jobs(mut self, jobs: usize) -> SweepSpec {
         self.jobs = Some(jobs.max(1));
         self
@@ -172,7 +165,8 @@ impl SweepSpec {
 
     /// The worker count this spec will run with.
     pub fn job_count(&self) -> usize {
-        self.jobs.unwrap_or_else(jobs_from_env)
+        self.jobs
+            .unwrap_or_else(|| RunOptions::default().job_count())
     }
 
     /// Expands the matrix into jobs, runs them on the worker pool, and

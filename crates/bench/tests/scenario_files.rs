@@ -1,31 +1,12 @@
-//! The checked-in `scenarios/*.scenario` files must stay byte-identical to
-//! the built-in presets they mirror — this is what guarantees that
-//! `paper_report --scenario scenarios/headline.scenario` reproduces the
-//! preset's output exactly. Regenerate with
-//! `cargo run -p regshare-bench --bin gen_scenarios` after editing a
-//! preset.
+//! Every checked-in `scenarios/*.scenario` file — the built-in presets,
+//! which `preset()` parses from these same files, and the user-authored
+//! examples — must parse and validate.
 
-use regshare_bench::{preset, Scenario, SCENARIO_PRESETS};
+use regshare_bench::Scenario;
 use std::path::Path;
 
 fn scenarios_dir() -> std::path::PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../scenarios")
-}
-
-#[test]
-fn checked_in_files_match_their_presets_byte_for_byte() {
-    for (name, _) in SCENARIO_PRESETS {
-        let path = scenarios_dir().join(format!("{name}.scenario"));
-        let on_disk = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("{}: {e} (run gen_scenarios)", path.display()));
-        let rendered = preset(name).expect("built-in preset").render();
-        assert_eq!(
-            on_disk,
-            rendered,
-            "{} drifted from its preset; run `cargo run -p regshare-bench --bin gen_scenarios`",
-            path.display()
-        );
-    }
 }
 
 #[test]

@@ -56,10 +56,7 @@ fn sweep_output_is_byte_identical_across_job_counts() {
     let serial = render(&spec(1));
     let sharded = render(&spec(4));
     assert!(serial.contains("csv:bench"), "render lost its csv block");
-    assert_eq!(
-        serial, sharded,
-        "REGSHARE_JOBS=4 output differs from REGSHARE_JOBS=1"
-    );
+    assert_eq!(serial, sharded, "4-job output differs from 1-job output");
     // Oversubscription (more workers than jobs) must not change anything
     // either — the pool clamps to the job count.
     let oversubscribed = render(&spec(64));

@@ -4,9 +4,10 @@
 //! report the batch binaries print — but per (workload × configuration ×
 //! window) **cell** rather than per run:
 //!
-//! 1. the request is normalized (checkpoint plumbing cleared, run options
-//!    pinned over the once-per-process environment snapshot) and
-//!    validated with the scenario layer's typed errors;
+//! 1. a request naming a host file (`kind = "asm"` with `path = ...`) is
+//!    rejected with [`ServeError::HostPath`] before anything reads it; the
+//!    rest is normalized (checkpoint plumbing cleared) and validated with
+//!    the scenario layer's typed errors;
 //! 2. every cell is content-addressed with
 //!    [`regshare_bench::cell_digest`] and looked up in the persistent
 //!    [`Cache`];
@@ -32,7 +33,6 @@ use regshare_bench::harness::{measure_program, Measurement, RunWindow};
 use regshare_bench::report::render_report;
 use regshare_bench::scenario::{Scenario, ScenarioError};
 use regshare_bench::sweep::{panic_detail, SweepError, SweepGrid};
-use regshare_bench::RunOptions;
 use regshare_core::{CoreConfig, SimStats};
 use regshare_isa::Program;
 use std::collections::HashMap;
@@ -48,6 +48,10 @@ use std::time::{Duration, Instant};
 pub enum ServeError {
     /// The submitted scenario is invalid (unknown names, bad config...).
     Scenario(ScenarioError),
+    /// The submitted scenario names an assembly file on the daemon's host
+    /// (`kind = "asm"` with `path = ...`). The daemon never reads host
+    /// files on a client's behalf; embedded `kernel = ...` sources work.
+    HostPath,
     /// The cache directory could not be opened or written.
     Cache(CacheError),
     /// Admission control: the job queue is full. Admission is checked
@@ -86,6 +90,11 @@ impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ServeError::Scenario(e) => write!(f, "{e}"),
+            ServeError::HostPath => write!(
+                f,
+                "the daemon does not read host files: asm `path` is rejected \
+                 (use an embedded `kernel = ...`)"
+            ),
             ServeError::Cache(e) => write!(f, "{e}"),
             ServeError::Busy { pending, max } => write!(
                 f,
@@ -302,9 +311,6 @@ pub struct Engine {
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
     timeout: Duration,
     max_pending: usize,
-    /// The deprecated environment fallbacks, pinned at engine start and
-    /// threaded through every request's [`RunOptions`].
-    env_baseline: RunOptions,
 }
 
 impl Engine {
@@ -349,7 +355,6 @@ impl Engine {
             workers: Mutex::new(handles),
             timeout: Duration::from_millis(config.timeout_ms),
             max_pending: config.max_pending,
-            env_baseline: regshare_bench::env_fallbacks(),
         })
     }
 
@@ -375,12 +380,10 @@ impl Engine {
         &self.shared.cache
     }
 
-    /// Normalizes a request: the daemon owns parallelism and checkpoint
-    /// plumbing (those keys are cleared), and unset run options resolve
-    /// against the environment snapshot taken at engine start.
+    /// Normalizes a request: the daemon owns checkpoint plumbing (those
+    /// keys are cleared).
     fn normalize(&self, scenario: &Scenario) -> Scenario {
         let mut s = scenario.clone();
-        s.options = s.options.over(self.env_baseline);
         s.checkpoint_interval = None;
         s.resume_from = None;
         s
@@ -388,6 +391,9 @@ impl Engine {
 
     /// Serves one request. See the module docs for the full pipeline.
     pub fn submit(&self, scenario: &Scenario, format: Format) -> Result<ServeResponse, ServeError> {
+        if scenario.asm.as_ref().is_some_and(|a| a.path.is_some()) {
+            return Err(ServeError::HostPath);
+        }
         let s = self.normalize(scenario);
         s.validate()?;
         let workloads = s.resolve_workloads()?;

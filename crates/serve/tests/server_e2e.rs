@@ -37,7 +37,7 @@ impl Drop for TempDir {
     }
 }
 
-fn start_server(addr: &str, dir: &TempDir) -> (String, std::thread::JoinHandle<()>) {
+fn start_server(addr: &str, dir: &TempDir) -> (String, std::thread::JoinHandle<()>, Arc<Engine>) {
     let engine = Arc::new(
         Engine::new(EngineConfig {
             cache_dir: dir.0.join("cache").to_str().unwrap().to_string(),
@@ -46,17 +46,17 @@ fn start_server(addr: &str, dir: &TempDir) -> (String, std::thread::JoinHandle<(
         })
         .unwrap(),
     );
-    let server = Server::bind(addr, engine).unwrap();
+    let server = Server::bind(addr, Arc::clone(&engine)).unwrap();
     let bound = server.local_addr().to_string();
     let handle = std::thread::spawn(move || server.run().unwrap());
-    (bound, handle)
+    (bound, handle, engine)
 }
 
 #[test]
 fn tcp_end_to_end() {
     let dir = TempDir::new("tcp");
     // Port 0: the OS picks a free port; local_addr reports it.
-    let (addr, handle) = start_server("127.0.0.1:0", &dir);
+    let (addr, handle, _) = start_server("127.0.0.1:0", &dir);
     let mut conn = Connection::connect(&addr, 5).unwrap();
 
     // Liveness.
@@ -106,7 +106,7 @@ fn tcp_end_to_end() {
 #[test]
 fn unknown_variant_is_one_err_line_and_daemon_keeps_serving() {
     let dir = TempDir::new("unknown-variant");
-    let (addr, handle) = start_server("127.0.0.1:0", &dir);
+    let (addr, handle, _) = start_server("127.0.0.1:0", &dir);
     let mut conn = Connection::connect(&addr, 5).unwrap();
 
     // A variant naming a config preset that does not exist: the reply is
@@ -133,10 +133,47 @@ fn unknown_variant_is_one_err_line_and_daemon_keeps_serving() {
 }
 
 #[test]
+fn asm_path_requests_never_read_host_files() {
+    let dir = TempDir::new("host-path");
+    std::fs::create_dir_all(&dir.0).unwrap();
+    let (addr, handle, engine) = start_server("127.0.0.1:0", &dir);
+    let mut conn = Connection::connect(&addr, 5).unwrap();
+
+    // A readable file whose text would surface in an assembler error.
+    let secret = dir.0.join("secret.asm");
+    std::fs::write(&secret, "    host_secret_token r1\n").unwrap();
+    let request = format!(
+        "name = \"host_path\"\nkind = \"asm\"\npath = \"{}\"\n\
+         warmup = 500\nmeasure = 1500\n\
+         \n[variant.base]\npreset = \"hpca16\"\n",
+        secret.to_str().unwrap()
+    );
+    let err = conn.run(&request, Format::Table).unwrap().unwrap_err();
+    assert!(err.starts_with("scenario: "), "got {err:?}");
+    assert!(err.contains("host files"), "got {err:?}");
+    assert!(
+        !err.contains("host_secret_token"),
+        "file content leaked: {err:?}"
+    );
+    assert_eq!(engine.computed_cells(), 0);
+
+    // Embedded kernels still serve.
+    let good = "name = \"embedded\"\nkind = \"asm\"\nkernel = \"matmul\"\n\
+                warmup = 500\nmeasure = 1500\n\
+                \n[variant.base]\npreset = \"hpca16\"\n";
+    let ok = conn.run(good, Format::Table).unwrap().unwrap();
+    assert_eq!(ok.meta_field("computed"), Some(1));
+    assert!(ok.body.contains("asm-matmul"), "{}", ok.body);
+
+    conn.shutdown().unwrap().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn malformed_commands_get_protocol_errors() {
     use std::io::{BufRead, BufReader, Write};
     let dir = TempDir::new("proto");
-    let (addr, handle) = start_server("127.0.0.1:0", &dir);
+    let (addr, handle, _) = start_server("127.0.0.1:0", &dir);
 
     let mut stream = std::net::TcpStream::connect(&addr).unwrap();
     stream.write_all(b"frobnicate\n").unwrap();
@@ -164,7 +201,7 @@ fn unix_socket_end_to_end() {
     let dir = TempDir::new("unix");
     std::fs::create_dir_all(&dir.0).unwrap();
     let sock = dir.0.join("serve.sock").to_str().unwrap().to_string();
-    let (addr, handle) = start_server(&sock, &dir);
+    let (addr, handle, _) = start_server(&sock, &dir);
     assert_eq!(addr, sock);
 
     let mut conn = Connection::connect(&sock, 5).unwrap();

@@ -34,7 +34,7 @@ fn facade_reexports_resolve() {
     assert!(!suite.is_empty(), "workload suite reachable through facade");
     let _window = regshare::bench::RunWindow::quick();
     assert!(
-        regshare::bench::jobs_from_env() >= 1,
+        regshare::RunOptions::default().job_count() >= 1,
         "sweep engine reachable through facade"
     );
     // The scenario layer is re-exported both under `bench` and at the
