@@ -8,7 +8,7 @@
 //! elimination rate does not correlate strongly with speedup.
 //!
 //! The matrix is the `fig5_me` preset scenario (base + `me` preset at each
-//! ISRB size, all declared through the validated builder).
+//! ISRB size, declared in `scenarios/fig5_me.scenario`).
 
 use regshare_bench::{preset, Table};
 

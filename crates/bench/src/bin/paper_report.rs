@@ -21,10 +21,10 @@ use regshare_bench::cli::run_front_door;
 
 fn main() {
     let (args, scenario) = run_front_door("paper_report", "headline");
-    // Checkpoint-aware: with --checkpoint-every / --resume (or the
-    // scenario's own keys) the run is resumable and still byte-identical
-    // to an uninterrupted one; otherwise this is the plain parallel sweep.
-    match checkpoint::run_report(&scenario, args.checkpoint_file.as_deref()) {
+    // Checkpoint-aware: with --checkpoint-every / --resume the run is
+    // resumable and still byte-identical to an uninterrupted one;
+    // otherwise this is the plain parallel sweep.
+    match checkpoint::run_report(&scenario, &args.checkpointing) {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("paper_report: {e}");

@@ -23,7 +23,7 @@ fn main() {
     let is_builtin_smoke =
         args.scenario_path.is_none() && args.preset.as_deref().unwrap_or("smoke") == "smoke";
     if !is_builtin_smoke {
-        match checkpoint::run_report(&scenario, args.checkpoint_file.as_deref()) {
+        match checkpoint::run_report(&scenario, &args.checkpointing) {
             Ok(report) => print!("{report}"),
             Err(e) => {
                 eprintln!("smoke: {e}");
@@ -33,7 +33,7 @@ fn main() {
         return;
     }
 
-    let grid = match checkpoint::run_sweep(&scenario, args.checkpoint_file.as_deref()) {
+    let grid = match checkpoint::run_sweep(&scenario, &args.checkpointing) {
         Ok(grid) => grid,
         Err(e) => {
             eprintln!("smoke: {e}");

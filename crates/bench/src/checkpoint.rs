@@ -3,8 +3,8 @@
 //! A checkpointed run writes a single image file as it goes: the list of
 //! already-measured cells plus — mid-cell — a complete versioned machine
 //! snapshot ([`Simulator::save_snapshot`]). Killing the process at any
-//! point loses at most `checkpoint_interval` committed µ-ops of work;
-//! resuming with the same scenario finishes the sweep and produces output
+//! point loses at most one checkpoint interval of committed µ-ops; resuming
+//! with the same scenario finishes the sweep and produces output
 //! **byte-identical** to an uninterrupted run (the commit budget is an
 //! absolute committed-count target, so an observational checkpoint
 //! callback cannot perturb the machine — see
@@ -12,18 +12,19 @@
 //!
 //! The image is pinned to its scenario by a digest header over the
 //! scenario's canonical rendering with the window resolved and the
-//! parallelism/checkpoint keys cleared, so resuming is robust to `--jobs`
-//! and to *where* the window came from (flags, file, defaults) while a
-//! different scenario or window is refused with a typed
+//! parallelism cleared, so resuming is robust to `--jobs` and to *where*
+//! the window came from (flags, file, defaults) while a different
+//! scenario or window is refused with a typed
 //! [`SnapError::ConfigDigestMismatch`]. Each embedded machine snapshot
 //! additionally self-validates against its (configuration, program) pair.
 //!
 //! Checkpointed execution is serial (one cell at a time, in the same
 //! row-major order the parallel engine merges in); the measurement
 //! protocol is identical, so the finished [`SweepGrid`] matches the
-//! parallel engine's cell for cell. [`run_sweep`] falls back to the
-//! parallel engine when the scenario requests no checkpointing. On
-//! success the image file is deleted.
+//! parallel engine's cell for cell. What to checkpoint is a run plan
+//! ([`Checkpointing`]) passed beside the scenario, never part of it;
+//! [`run_sweep`] falls back to the parallel engine when the plan requests
+//! no checkpointing. On success the image file is deleted.
 
 use crate::harness::Measurement;
 use crate::report::render_report;
@@ -34,6 +35,21 @@ use regshare_isa::Program;
 use regshare_types::snapshot::{
     read_header, write_header, Snap, SnapError, SnapReader, SnapWriter,
 };
+use std::num::NonZeroU64;
+
+/// How one run of a scenario checkpoints: the CLI's `--checkpoint-every`,
+/// `--checkpoint-file` and `--resume`. The default plan does none.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Checkpointing {
+    /// Write an image every this many committed µ-ops.
+    pub every: Option<NonZeroU64>,
+    /// Where images are written; defaults to `resume`, else
+    /// [`default_checkpoint_path`].
+    pub file: Option<String>,
+    /// Continue from this image, written by an earlier checkpointed run of
+    /// the same scenario.
+    pub resume: Option<String>,
+}
 
 /// Any way a checkpointed run can fail: an invalid scenario, a malformed
 /// or mismatched image, or filesystem trouble.
@@ -49,7 +65,7 @@ pub enum CheckpointError {
     /// (e.g. more completed cells than the matrix has, or a recorded cell
     /// name that is not the workload at that position).
     Invalid(String),
-    /// `resume_from` names a file that does not exist.
+    /// The resume path names a file that does not exist.
     Missing {
         /// The path given.
         path: String,
@@ -183,38 +199,40 @@ pub fn default_checkpoint_path(scenario: &Scenario) -> String {
     format!("{}.ckpt", scenario.name)
 }
 
-/// Runs the scenario's sweep, honouring its checkpoint keys.
+/// Runs the scenario's sweep under a checkpointing plan.
 ///
-/// - Neither `checkpoint_interval` nor `resume_from` set: the plain
-///   parallel engine ([`Scenario::to_sweep`]), no files touched.
-/// - `checkpoint_interval = n`: serial resumable execution, writing the
-///   image to `file` (default [`default_checkpoint_path`]) every `n`
-///   committed µ-ops and after every finished cell; the file is deleted
-///   on success.
-/// - `resume_from = path`: loads the image first and continues from it.
-///   A requested interval overrides the recorded one. Subsequent
+/// - Neither `every` nor `resume` set: the plain parallel engine
+///   ([`Scenario::to_sweep`]), no files touched.
+/// - `every = n`: serial resumable execution, writing the image to `file`
+///   (default [`default_checkpoint_path`]) every `n` committed µ-ops and
+///   after every finished cell; the file is deleted on success.
+/// - `resume = path`: loads the image first and continues from it. A
+///   requested interval overrides the recorded one. Subsequent
 ///   checkpoints go to `file` if given, else back to `path`.
 ///
 /// # Errors
 ///
 /// Typed [`CheckpointError`]s for invalid scenarios, missing/corrupt/
 /// foreign images, and filesystem failures.
-pub fn run_sweep(scenario: &Scenario, file: Option<&str>) -> Result<SweepGrid, CheckpointError> {
+pub fn run_sweep(scenario: &Scenario, plan: &Checkpointing) -> Result<SweepGrid, CheckpointError> {
     scenario.validate()?;
-    if scenario.checkpoint_interval.is_none() && scenario.resume_from.is_none() {
+    if plan.every.is_none() && plan.resume.is_none() {
         return Ok(scenario.to_sweep()?.run()?);
     }
-    run_checkpointed(scenario, file)
+    run_checkpointed(scenario, plan)
 }
 
 /// [`run_sweep`] plus the standard report rendering — the checkpoint-aware
 /// equivalent of [`crate::run_scenario`].
-pub fn run_report(scenario: &Scenario, file: Option<&str>) -> Result<String, CheckpointError> {
-    let grid = run_sweep(scenario, file)?;
+pub fn run_report(scenario: &Scenario, plan: &Checkpointing) -> Result<String, CheckpointError> {
+    let grid = run_sweep(scenario, plan)?;
     Ok(render_report(scenario, &grid)?)
 }
 
-fn run_checkpointed(scenario: &Scenario, file: Option<&str>) -> Result<SweepGrid, CheckpointError> {
+fn run_checkpointed(
+    scenario: &Scenario,
+    plan: &Checkpointing,
+) -> Result<SweepGrid, CheckpointError> {
     let workloads = scenario.resolve_workloads()?;
     let labels: Vec<String> = scenario.variants.iter().map(|(l, _)| l.clone()).collect();
     let mut configs: Vec<CoreConfig> = Vec::with_capacity(scenario.variants.len());
@@ -227,21 +245,17 @@ fn run_checkpointed(scenario: &Scenario, file: Option<&str>) -> Result<SweepGrid
     let window = scenario.options.window();
     let digest = scenario_digest(scenario);
     let total = workloads.len() * labels.len();
+    let path = plan
+        .file
+        .clone()
+        .or_else(|| plan.resume.clone())
+        .unwrap_or_else(|| default_checkpoint_path(scenario));
+    let path = path.as_str();
 
-    let default_path;
-    let path: &str = match (file, scenario.resume_from.as_deref()) {
-        (Some(p), _) => p,
-        (None, Some(p)) => p,
-        (None, None) => {
-            default_path = default_checkpoint_path(scenario);
-            &default_path
-        }
-    };
-
-    let mut interval = scenario.checkpoint_interval;
+    let mut interval = plan.every.map(NonZeroU64::get);
     let mut done: Vec<(String, SimStats)> = Vec::new();
     let mut in_progress: Option<(Option<SimStats>, Vec<u8>)> = None;
-    if let Some(resume) = scenario.resume_from.as_deref() {
+    if let Some(resume) = plan.resume.as_deref() {
         let image = load_image(resume, digest)?;
         interval = interval.or(Some(image.interval));
         done = image.completed;
@@ -261,8 +275,8 @@ fn run_checkpointed(scenario: &Scenario, file: Option<&str>) -> Result<SweepGrid
             }
         }
     }
-    // A fresh run reaches here only with `checkpoint_interval` set, and a
-    // resumed image records the (non-zero) interval it was written with.
+    // A fresh run reaches here only with `every` set, and a resumed image
+    // records the (non-zero) interval it was written with.
     let every = interval.expect("checkpointed run without an interval");
 
     let mut programs: Vec<Option<Program>> = workloads.iter().map(|_| None).collect();
@@ -364,6 +378,13 @@ mod tests {
             .to_string()
     }
 
+    fn resume(path: &str) -> Checkpointing {
+        Checkpointing {
+            resume: Some(path.to_string()),
+            ..Checkpointing::default()
+        }
+    }
+
     fn assert_same_grid(a: &SweepGrid, b: &SweepGrid) {
         assert_eq!(a.labels(), b.labels());
         assert_eq!(a.workloads().len(), b.workloads().len());
@@ -383,12 +404,15 @@ mod tests {
         let plain = tiny("ckpt_eq");
         let reference = plain.to_sweep().unwrap().run().unwrap();
 
-        let mut s = plain.clone();
         // A short interval fires the writer many times per cell; the
         // observational hook must not perturb a single statistic.
-        s.checkpoint_interval = Some(100);
         let path = tmp_path("eq");
-        let grid = run_sweep(&s, Some(&path)).unwrap();
+        let plan = Checkpointing {
+            every: NonZeroU64::new(100),
+            file: Some(path.clone()),
+            resume: None,
+        };
+        let grid = run_sweep(&plain, &plan).unwrap();
         assert_same_grid(&grid, &reference);
         assert!(
             !std::path::Path::new(&path).exists(),
@@ -396,7 +420,7 @@ mod tests {
         );
         // Reports are byte-identical too (the end-to-end CI contract).
         assert_eq!(
-            run_report(&s, Some(&path)).unwrap(),
+            run_report(&plain, &plan).unwrap(),
             render_report(&plain, &reference).unwrap()
         );
     }
@@ -430,9 +454,7 @@ mod tests {
         let path = tmp_path("resume");
         write_image(&path, digest, &image).unwrap();
 
-        let mut s = plain.clone();
-        s.resume_from = Some(path.clone());
-        let grid = run_sweep(&s, None).unwrap();
+        let grid = run_sweep(&plain, &resume(&path)).unwrap();
         assert_same_grid(&grid, &reference);
         assert!(!std::path::Path::new(&path).exists());
     }
@@ -448,10 +470,8 @@ mod tests {
         };
 
         // Missing file.
-        let mut missing = s.clone();
-        missing.resume_from = Some(tmp_path("nonexistent"));
         assert!(matches!(
-            run_sweep(&missing, None).unwrap_err(),
+            run_sweep(&s, &resume(&tmp_path("nonexistent"))).unwrap_err(),
             CheckpointError::Missing { .. }
         ));
 
@@ -460,18 +480,15 @@ mod tests {
         let mut other = s.clone();
         other.options = RunOptions::default().warmup(600).measure(1_500);
         write_image(&path, scenario_digest(&other), &empty).unwrap();
-        let mut resumed = s.clone();
-        resumed.resume_from = Some(path.clone());
+        let resumed = resume(&path);
         assert!(matches!(
-            run_sweep(&resumed, None).unwrap_err(),
+            run_sweep(&s, &resumed).unwrap_err(),
             CheckpointError::Snapshot(SnapError::ConfigDigestMismatch { .. })
         ));
 
-        // ...but jobs / checkpoint plumbing do NOT change the digest.
+        // ...but the worker count does NOT change the digest.
         let mut replumbed = s.clone();
         replumbed.options.jobs = Some(7);
-        replumbed.checkpoint_interval = Some(9);
-        replumbed.resume_from = Some("elsewhere.ckpt".into());
         assert_eq!(scenario_digest(&replumbed), digest);
 
         // Truncated image → typed decode error.
@@ -490,7 +507,7 @@ mod tests {
         };
         write_image(&path, digest, &fat).unwrap();
         assert!(matches!(
-            run_sweep(&resumed, None).unwrap_err(),
+            run_sweep(&s, &resumed).unwrap_err(),
             CheckpointError::Invalid(_)
         ));
 
@@ -502,7 +519,7 @@ mod tests {
         };
         write_image(&path, digest, &misnamed).unwrap();
         assert!(matches!(
-            run_sweep(&resumed, None).unwrap_err(),
+            run_sweep(&s, &resumed).unwrap_err(),
             CheckpointError::Invalid(_)
         ));
         std::fs::remove_file(&path).unwrap();

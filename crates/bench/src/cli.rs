@@ -17,9 +17,13 @@
 //! ```
 //!
 //! Flag > scenario file > default, in that order (see [`crate::options`]).
+//! The three checkpoint flags fill a [`Checkpointing`] run plan that is
+//! passed beside the scenario, never folded into it.
 
+use crate::checkpoint::Checkpointing;
 use crate::options::RunOptions;
 use crate::scenario::{preset, Scenario, ScenarioError, SCENARIO_PRESETS};
+use std::num::NonZeroU64;
 
 /// Parsed command line for a scenario-driven binary.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -30,13 +34,9 @@ pub struct CliArgs {
     pub preset: Option<String>,
     /// `--warmup` / `--measure` / `--jobs` overrides.
     pub overrides: RunOptions,
-    /// `--checkpoint-every <uops>`: write a resumable checkpoint every N
-    /// committed µ-ops (see [`crate::checkpoint`]).
-    pub checkpoint_every: Option<u64>,
-    /// `--checkpoint-file <path>`: where checkpoints are written.
-    pub checkpoint_file: Option<String>,
-    /// `--resume <file>`: continue from a checkpoint image.
-    pub resume: Option<String>,
+    /// `--checkpoint-every <uops>`, `--checkpoint-file <path>` and
+    /// `--resume <file>`.
+    pub checkpointing: Checkpointing,
     /// `--list-presets`.
     pub list_presets: bool,
     /// `--list-workloads`.
@@ -88,14 +88,12 @@ impl CliArgs {
                     let n: u64 = v
                         .parse()
                         .map_err(|_| format!("bad --checkpoint-every value {v:?}"))?;
-                    if n == 0 {
-                        // Same boundary rejection as the scenario key.
-                        return Err("--checkpoint-every must be at least 1".to_string());
-                    }
-                    out.checkpoint_every = Some(n);
+                    let n = NonZeroU64::new(n)
+                        .ok_or_else(|| "--checkpoint-every must be at least 1".to_string())?;
+                    out.checkpointing.every = Some(n);
                 }
-                "--checkpoint-file" => out.checkpoint_file = Some(value(&mut i)?),
-                "--resume" => out.resume = Some(value(&mut i)?),
+                "--checkpoint-file" => out.checkpointing.file = Some(value(&mut i)?),
+                "--resume" => out.checkpointing.resume = Some(value(&mut i)?),
                 "--list-presets" => out.list_presets = true,
                 "--list-workloads" => out.list_workloads = true,
                 "--help" | "-h" => out.help = true,
@@ -120,12 +118,6 @@ impl CliArgs {
             preset(name).ok_or_else(|| ScenarioError::UnknownPreset(name.to_string()))?
         };
         scenario.options = self.overrides.over(scenario.options);
-        if self.checkpoint_every.is_some() {
-            scenario.checkpoint_interval = self.checkpoint_every;
-        }
-        if self.resume.is_some() {
-            scenario.resume_from = self.resume.clone();
-        }
         Ok(scenario)
     }
 }
@@ -245,7 +237,7 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_flags_overlay_the_scenario() {
+    fn checkpoint_flags_fill_the_run_plan() {
         let a = parse(&[
             "--preset",
             "smoke",
@@ -255,15 +247,28 @@ mod tests {
             "out.ckpt",
         ])
         .unwrap();
-        assert_eq!(a.checkpoint_file.as_deref(), Some("out.ckpt"));
-        let s = a.resolve_scenario("headline").unwrap();
-        assert_eq!(s.checkpoint_interval, Some(5000));
-        assert_eq!(s.resume_from, None);
+        assert_eq!(
+            a.checkpointing,
+            Checkpointing {
+                every: NonZeroU64::new(5000),
+                file: Some("out.ckpt".into()),
+                resume: None,
+            }
+        );
+        // The plan never leaks into the experiment it runs.
+        assert_eq!(
+            a.resolve_scenario("headline").unwrap(),
+            preset("smoke").unwrap()
+        );
 
         let a = parse(&["--preset", "smoke", "--resume", "out.ckpt"]).unwrap();
-        let s = a.resolve_scenario("headline").unwrap();
-        assert_eq!(s.checkpoint_interval, None);
-        assert_eq!(s.resume_from.as_deref(), Some("out.ckpt"));
+        assert_eq!(
+            a.checkpointing,
+            Checkpointing {
+                resume: Some("out.ckpt".into()),
+                ..Checkpointing::default()
+            }
+        );
     }
 
     #[test]

@@ -10,10 +10,10 @@
 //! discipline:
 //!
 //! - [`normalized`] — the canonical form of a scenario for digest
-//!   purposes: the window resolved to concrete µ-op counts, and every key
-//!   that may legitimately differ between two equivalent invocations
-//!   (parallelism, checkpoint plumbing) cleared. Where the window *came
-//!   from* (flags, file, defaults) can never change an identity.
+//!   purposes: the window resolved to concrete µ-op counts, and the one
+//!   key that may legitimately differ between two equivalent invocations
+//!   (parallelism) cleared. Where the window *came from* (flags, file,
+//!   defaults) can never change an identity.
 //! - [`scenario_digest`] — hash of the normalized canonical rendering;
 //!   pins whole-scenario artifacts (checkpoint images).
 //! - [`cell_digest`] — content address of one (workload × configuration ×
@@ -32,16 +32,13 @@ use regshare_types::hasher::FastHasher;
 use std::hash::Hasher;
 
 /// The canonical form of a scenario for digest purposes: window resolved,
-/// parallelism and checkpoint/resume plumbing cleared.
+/// parallelism cleared.
 pub fn normalized(scenario: &Scenario) -> Scenario {
     let window = scenario.options.window();
     let mut normalized = scenario.clone();
     normalized.options = RunOptions::default()
         .warmup(window.warmup)
         .measure(window.measure);
-    normalized.options.jobs = None;
-    normalized.checkpoint_interval = None;
-    normalized.resume_from = None;
     normalized
 }
 
@@ -93,11 +90,9 @@ mod tests {
         let s = tiny();
         let d = scenario_digest(&s);
 
-        // Parallelism and checkpoint plumbing are not identity.
+        // Parallelism is not identity.
         let mut replumbed = s.clone();
         replumbed.options.jobs = Some(7);
-        replumbed.checkpoint_interval = Some(9);
-        replumbed.resume_from = Some("elsewhere.ckpt".into());
         assert_eq!(scenario_digest(&replumbed), d);
 
         // The window is identity, wherever it came from.
@@ -121,8 +116,6 @@ mod tests {
         assert_eq!(n.options.warmup, Some(500));
         assert_eq!(n.options.measure, Some(1_500));
         assert_eq!(n.options.jobs, None);
-        assert_eq!(n.checkpoint_interval, None);
-        assert_eq!(n.resume_from, None);
         // Normalizing is idempotent.
         assert_eq!(normalized(&n), n);
     }

@@ -19,17 +19,16 @@
 //! [`ShrinkSpec`] plus the original `(profile, seed)` is a complete, small
 //! reproducer — exactly what the failure report prints as a command line.
 //!
-//! [`run_cases`] fans a case list across a worker pool with the same
-//! determinism discipline as the sweep engine: results merge by case index,
-//! so reports are byte-identical at any parallelism level.
+//! [`run_cases`] fans a case list across the sweep engine's worker pool
+//! (`sweep::par_map`): results merge by case index, so reports are
+//! byte-identical at any parallelism level.
 
 use crate::options::RunOptions;
 use crate::scenario::{VariantSpec, CONFIG_PRESETS};
 use regshare_core::{CoreConfig, Simulator};
 use regshare_isa::interp::Machine;
 use regshare_workloads::fuzz::{FuzzPlan, FuzzSpec, ShrinkSpec};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 
 /// The preset used for deterministic fault injection (the most aggressive
 /// sharing point — also the last one checked, so real divergences in the
@@ -284,42 +283,18 @@ impl CaseResult {
     }
 }
 
-/// Checks every case on a worker pool (shrinking failures in place) and
-/// merges results **by case index**, so the output — and therefore
-/// [`render_report`] — is byte-identical at any `jobs` level, mirroring the
-/// sweep engine's determinism guarantee.
+/// Checks every case on the sweep engine's worker pool (`sweep::par_map`),
+/// shrinking failures in place; results merge **by case index**, so the
+/// output — and therefore [`render_report`] — is byte-identical at any
+/// `jobs` level.
 pub fn run_cases(specs: &[FuzzSpec], opts: &FuzzOptions) -> Vec<CaseResult> {
-    let workers = opts.jobs.max(1).min(specs.len().max(1));
-    let mut results: Vec<Option<CaseResult>> = Vec::with_capacity(specs.len());
-    results.resize_with(specs.len(), || None);
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        let (tx, rx) = mpsc::channel::<(usize, CaseResult)>();
-        for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let opts = &*opts;
-            s.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= specs.len() {
-                    break;
-                }
-                let spec = specs[i].clone();
-                let plan = spec.plan();
-                let failure = check_plan(&plan, opts)
-                    .map(|divergence| (divergence, shrink_failing_plan(&plan, opts)));
-                let _ = tx.send((i, CaseResult { spec, failure }));
-            });
-        }
-        drop(tx);
-        for (i, r) in rx {
-            results[i] = Some(r);
-        }
-    });
-    results
-        .into_iter()
-        .map(|r| r.expect("all fuzz cases completed"))
-        .collect()
+    crate::sweep::par_map(specs.len(), opts.jobs, |i| {
+        let spec = specs[i].clone();
+        let plan = spec.plan();
+        let failure = check_plan(&plan, opts)
+            .map(|divergence| (divergence, shrink_failing_plan(&plan, opts)));
+        CaseResult { spec, failure }
+    })
 }
 
 /// Renders the stable differential report: a per-profile tally, then one

@@ -2,7 +2,6 @@
 
 use regshare_core::{CoreConfig, SimStats, Simulator};
 use regshare_isa::Program;
-use regshare_workloads::Workload;
 
 /// Warmup/measurement window (µ-ops).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +28,10 @@ pub struct Measurement {
     /// Workload name. Owned, so measurements can carry names that only
     /// exist at runtime (workloads resolved from `.scenario` files).
     pub name: String,
-    /// Stats over the measured window only.
+    /// Stats over the measured window, by [`SimStats::delta_since`]: the
+    /// monotonic counters exclude warmup, but `tracker`, `share_distance`,
+    /// `reclaim_check_distance` and `peak_checkpoints` are end-of-run
+    /// values that include it.
     pub stats: SimStats,
 }
 
@@ -40,53 +42,18 @@ impl Measurement {
     }
 }
 
-/// Runs `workload` under `cfg` with the given window and returns
-/// measured-window statistics.
-pub fn measure(workload: &Workload, cfg: CoreConfig, window: RunWindow) -> Measurement {
-    measure_with(workload, cfg, window, |_| {})
-}
-
-/// Like [`measure`], but over an already-built program — the sweep engine's
-/// memoized-program path ([`crate::SweepSpec`] builds each workload's
-/// program once and shares it across every configuration variant).
+/// Runs the warmup → measure → delta protocol over an already-built
+/// program (the sweep engine builds each workload's program once and
+/// reuses it across every configuration variant).
 pub fn measure_program(
     name: impl Into<String>,
     program: &Program,
     cfg: CoreConfig,
     window: RunWindow,
 ) -> Measurement {
-    measure_program_with(name, program, cfg, window, |_| {})
-}
-
-/// Like [`measure`], with a post-run hook receiving the simulator (for
-/// digests, audits or extra probes).
-pub fn measure_with(
-    workload: &Workload,
-    cfg: CoreConfig,
-    window: RunWindow,
-    inspect: impl FnOnce(&Simulator),
-) -> Measurement {
-    measure_program_with(
-        workload.name.clone(),
-        &workload.build(),
-        cfg,
-        window,
-        inspect,
-    )
-}
-
-/// The one warmup → measure → delta protocol every entry point shares.
-fn measure_program_with(
-    name: impl Into<String>,
-    program: &Program,
-    cfg: CoreConfig,
-    window: RunWindow,
-    inspect: impl FnOnce(&Simulator),
-) -> Measurement {
     let mut sim = Simulator::new(program, cfg);
     let warm = sim.run(window.warmup);
     let end = sim.run(window.measure);
-    inspect(&sim);
     Measurement {
         name: name.into(),
         stats: end.delta_since(&warm),

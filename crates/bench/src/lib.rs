@@ -27,10 +27,10 @@ pub mod scenario;
 pub mod sweep;
 pub mod table;
 
-pub use checkpoint::CheckpointError;
+pub use checkpoint::{CheckpointError, Checkpointing};
 pub use digest::{cell_digest, scenario_digest};
 pub use fuzz::FuzzOptions;
-pub use harness::{measure, measure_program, measure_with, Measurement, RunWindow};
+pub use harness::{measure_program, Measurement, RunWindow};
 pub use options::{RunOptions, ZeroJobsError, DEFAULT_MEASURE, DEFAULT_WARMUP};
 pub use report::{render_report, run_scenario};
 pub use scenario::{

@@ -24,9 +24,7 @@ mod text;
 
 use crate::options::RunOptions;
 use crate::sweep::SweepSpec;
-use regshare_core::{
-    ConfigError, CoreConfig, CoreConfigBuilder, DistancePredictorKind, TrackerKind,
-};
+use regshare_core::{ConfigError, CoreConfig, DistancePredictorKind, TrackerKind};
 use regshare_distance::{DdtConfig, NosqConfig};
 use regshare_refcount::IsrbConfig;
 use regshare_workloads::fuzz::FuzzSpec;
@@ -85,13 +83,6 @@ pub enum ScenarioError {
     /// A worker count of zero (`RunOptions::jobs` hand-set to `Some(0)`;
     /// the text parser and CLI reject it at their own boundaries).
     ZeroJobs,
-    /// A checkpoint interval of zero µ-ops: the writer would fire before
-    /// any progress was made (the CLI and text parser reject 0 too).
-    ZeroCheckpointInterval,
-    /// A `resume_from` path that is empty or contains a quote, backslash
-    /// or control character — the text format has no escape sequences, so
-    /// such a path could not be rendered to a parseable `.scenario` file.
-    InvalidResumePath(String),
     /// A scenario with no variants: there is nothing to sweep.
     NoVariants,
     /// Two variants with the same label (the later one would be
@@ -205,14 +196,6 @@ impl std::fmt::Display for ScenarioError {
                  (the scenario format has no escape sequences)"
             ),
             ScenarioError::ZeroJobs => write!(f, "jobs must be at least 1"),
-            ScenarioError::ZeroCheckpointInterval => {
-                write!(f, "checkpoint_interval must be at least 1 µ-op")
-            }
-            ScenarioError::InvalidResumePath(path) => write!(
-                f,
-                "resume_from path {path:?} is empty or contains a quote, backslash \
-                 or control character (the scenario format has no escape sequences)"
-            ),
             ScenarioError::NoVariants => write!(f, "scenario declares no variants"),
             ScenarioError::DuplicateVariant(label) => {
                 write!(f, "duplicate variant label {label:?}")
@@ -565,71 +548,63 @@ impl VariantSpec {
         self
     }
 
-    /// Resolves the spec into a validated [`CoreConfig`].
+    /// Resolves the spec into a validated [`CoreConfig`]: the preset with
+    /// every set override written over it, then [`CoreConfig::validate`].
     pub fn to_config(&self) -> Result<CoreConfig, ScenarioError> {
-        let base = config_preset(&self.preset)?;
-        let mut b = CoreConfigBuilder::from(base);
-        if let Some(on) = self.me {
-            b = b.move_elimination(on);
+        let mut cfg = config_preset(&self.preset)?;
+        for (v, field) in [
+            (self.me, &mut cfg.move_elimination),
+            (self.me_fp_moves, &mut cfg.me_fp_moves),
+            (self.smb, &mut cfg.smb),
+            (self.smb_load_load, &mut cfg.smb_load_load),
+            (self.smb_from_committed, &mut cfg.smb_from_committed),
+        ] {
+            if let Some(v) = v {
+                *field = v;
+            }
         }
-        if let Some(on) = self.me_fp_moves {
-            b = b.me_fp_moves(on);
-        }
-        if let Some(on) = self.smb {
-            b = b.smb(on);
-        }
-        if let Some(on) = self.smb_load_load {
-            b = b.smb_load_load(on);
-        }
-        if let Some(on) = self.smb_from_committed {
-            b = b.smb_from_committed(on);
-        }
-        b = self.apply_tracker(b)?;
-        if let Some(p) = self.rename_ports {
-            b = b.tweak(|c| c.tracker_rename_ports = p);
-        }
-        if let Some(p) = self.reclaim_ports {
-            b = b.tweak(|c| c.tracker_reclaim_ports = p);
+        if let Some(tracker) = self.resolve_tracker(&cfg.tracker)? {
+            cfg.tracker = tracker;
         }
         if let Some(name) = &self.distance {
-            b = b.distance_predictor(match name.as_str() {
+            cfg.distance_predictor = match name.as_str() {
                 "tage" => DistancePredictorKind::default(),
                 "nosq" => DistancePredictorKind::Nosq(NosqConfig::hpca16()),
                 other => return Err(ScenarioError::UnknownDistance(other.to_string())),
-            });
+            };
         }
         if let Some(name) = &self.ddt {
-            b = b.ddt(match name.as_str() {
+            cfg.ddt = match name.as_str() {
                 "base16k" => DdtConfig::base16k(),
                 "opt1k" => DdtConfig::opt1k(),
                 "unlimited" => DdtConfig::unlimited(),
                 other => return Err(ScenarioError::UnknownDdt(other.to_string())),
-            });
+            };
         }
-        for (v, f) in [
-            (
-                self.frontend_width,
-                CoreConfigBuilder::frontend_width
-                    as fn(CoreConfigBuilder, usize) -> CoreConfigBuilder,
-            ),
-            (self.issue_width, CoreConfigBuilder::issue_width),
-            (self.commit_width, CoreConfigBuilder::commit_width),
-            (self.rob_entries, CoreConfigBuilder::rob_entries),
-            (self.iq_entries, CoreConfigBuilder::iq_entries),
-            (self.lq_entries, CoreConfigBuilder::lq_entries),
-            (self.sq_entries, CoreConfigBuilder::sq_entries),
-            (self.pregs_per_class, CoreConfigBuilder::pregs_per_class),
+        for (v, field) in [
+            (self.rename_ports, &mut cfg.tracker_rename_ports),
+            (self.reclaim_ports, &mut cfg.tracker_reclaim_ports),
+            (self.frontend_width, &mut cfg.frontend_width),
+            (self.issue_width, &mut cfg.issue_width),
+            (self.commit_width, &mut cfg.commit_width),
+            (self.rob_entries, &mut cfg.rob_entries),
+            (self.iq_entries, &mut cfg.iq_entries),
+            (self.lq_entries, &mut cfg.lq_entries),
+            (self.sq_entries, &mut cfg.sq_entries),
+            (self.pregs_per_class, &mut cfg.pregs_per_class),
         ] {
             if let Some(v) = v {
-                b = f(b, v);
+                *field = v;
             }
         }
-        Ok(b.build()?)
+        cfg.validate()?;
+        Ok(cfg)
     }
 
-    /// Applies tracker selection + geometry, rejecting keys that do not
-    /// belong to the selected tracker instead of silently ignoring them.
-    fn apply_tracker(&self, b: CoreConfigBuilder) -> Result<CoreConfigBuilder, ScenarioError> {
+    /// The tracker this spec selects over the preset's `current` one
+    /// (`None` keeps it), rejecting keys that do not belong to the
+    /// selected tracker instead of silently ignoring them.
+    fn resolve_tracker(&self, current: &TrackerKind) -> Result<Option<TrackerKind>, ScenarioError> {
         let isrb_geometry = |cur: &TrackerKind, spec: &VariantSpec| -> IsrbConfig {
             let mut cfg = match cur {
                 TrackerKind::Isrb(c) => *c,
@@ -688,32 +663,27 @@ impl VariantSpec {
                 let touches_isrb = self.tracker.is_some()
                     || self.isrb_entries.is_some()
                     || self.counter_bits.is_some();
-                if touches_isrb {
-                    let cfg = isrb_geometry(b.peek_tracker(), self);
-                    Ok(b.tracker(TrackerKind::Isrb(cfg)))
-                } else {
-                    Ok(b)
-                }
+                Ok(touches_isrb.then(|| TrackerKind::Isrb(isrb_geometry(current, self))))
             }
             Some("unlimited") => {
                 reject_isrb_keys()?;
                 reject_counter_bits()?;
                 reject_walk()?;
                 reject_entries()?;
-                Ok(b.tracker(TrackerKind::Unlimited))
+                Ok(Some(TrackerKind::Unlimited))
             }
             Some("roth") => {
                 reject_isrb_keys()?;
                 reject_counter_bits()?;
                 reject_walk()?;
                 reject_entries()?;
-                Ok(b.tracker(TrackerKind::RothMatrix))
+                Ok(Some(TrackerKind::RothMatrix))
             }
             Some("counters") => {
                 reject_isrb_keys()?;
                 reject_counter_bits()?;
                 reject_entries()?;
-                Ok(b.tracker(TrackerKind::PerRegCounters {
+                Ok(Some(TrackerKind::PerRegCounters {
                     walk_width: self.walk_width.unwrap_or(8),
                 }))
             }
@@ -721,14 +691,14 @@ impl VariantSpec {
                 reject_isrb_keys()?;
                 reject_counter_bits()?;
                 reject_walk()?;
-                Ok(b.tracker(TrackerKind::Mit {
+                Ok(Some(TrackerKind::Mit {
                     entries: self.tracker_entries.unwrap_or(8),
                 }))
             }
             Some("rda") => {
                 reject_isrb_keys()?;
                 reject_walk()?;
-                Ok(b.tracker(TrackerKind::Rda {
+                Ok(Some(TrackerKind::Rda {
                     entries: self.tracker_entries.unwrap_or(32),
                     counter_bits: self.counter_bits.unwrap_or(3),
                 }))
@@ -792,14 +762,6 @@ pub struct Scenario {
     pub asm: Option<AsmSource>,
     /// Ordered labelled variants; the first is the baseline column.
     pub variants: Vec<(String, VariantSpec)>,
-    /// Checkpoint-write interval in committed µ-ops. `Some(n)` makes runs
-    /// resumable: a versioned machine snapshot is written every `n` µ-ops
-    /// (see `crate::checkpoint`). `None` runs without checkpointing;
-    /// `Some(0)` is rejected by validation.
-    pub checkpoint_interval: Option<u64>,
-    /// Path of a checkpoint file to resume from (written by an earlier
-    /// checkpointed run of this same scenario). `None` starts fresh.
-    pub resume_from: Option<String>,
 }
 
 impl Scenario {
@@ -814,8 +776,6 @@ impl Scenario {
                 fuzz: None,
                 asm: None,
                 variants: Vec::new(),
-                checkpoint_interval: None,
-                resume_from: None,
             },
         }
     }
@@ -854,14 +814,6 @@ impl Scenario {
             // The text parser and CLI reject 0 too; a hand-constructed
             // Some(0) would otherwise render to an unparseable file.
             return Err(ScenarioError::ZeroJobs);
-        }
-        if self.checkpoint_interval == Some(0) {
-            return Err(ScenarioError::ZeroCheckpointInterval);
-        }
-        if let Some(path) = &self.resume_from {
-            if path.is_empty() || !valid_note(path) {
-                return Err(ScenarioError::InvalidResumePath(path.clone()));
-            }
         }
         if self.variants.is_empty() {
             return Err(ScenarioError::NoVariants);
@@ -966,14 +918,6 @@ impl Scenario {
     }
 }
 
-impl SweepSpec {
-    /// Expands a validated scenario into a sweep — equivalent to
-    /// [`Scenario::to_sweep`], for call sites that read better spec-first.
-    pub fn from_scenario(scenario: &Scenario) -> Result<SweepSpec, ScenarioError> {
-        scenario.to_sweep()
-    }
-}
-
 /// Fluent, validating constructor for [`Scenario`].
 ///
 /// # Examples
@@ -1065,20 +1009,6 @@ impl ScenarioBuilder {
             path: Some(path.into()),
         });
         self.scenario.fuzz = None;
-        self
-    }
-
-    /// Makes runs resumable: write a machine checkpoint every `uops`
-    /// committed µ-ops. Zero is rejected at [`ScenarioBuilder::build`].
-    pub fn checkpoint_interval(mut self, uops: u64) -> Self {
-        self.scenario.checkpoint_interval = Some(uops);
-        self
-    }
-
-    /// Resumes from a checkpoint file written by an earlier checkpointed
-    /// run of this same scenario.
-    pub fn resume_from(mut self, path: impl Into<String>) -> Self {
-        self.scenario.resume_from = Some(path.into());
         self
     }
 
@@ -1539,7 +1469,7 @@ mod tests {
             .variant("both", VariantSpec::preset("me_smb"))
             .build()
             .unwrap();
-        let grid = SweepSpec::from_scenario(&s).unwrap().run().unwrap();
+        let grid = s.to_sweep().unwrap().run().unwrap();
         assert_eq!(grid.labels(), &["base".to_string(), "both".to_string()]);
         assert!(grid.get(0, "both").unwrap().ipc() > 0.0);
         assert_eq!(grid.get(0, "base").unwrap().name, "crafty");

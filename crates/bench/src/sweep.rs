@@ -186,76 +186,74 @@ impl SweepSpec {
             !self.variants.is_empty(),
             "sweep spec needs at least one variant"
         );
-        let n_jobs_total = self.workloads.len() * self.variants.len();
-        let workers = self.job_count().min(n_jobs_total.max(1));
+        let n_variants = self.variants.len();
         // Lazy per-workload program memoization: built once by whichever
         // worker gets there first, shared read-only by all variants.
         let programs: Vec<OnceLock<Program>> =
             self.workloads.iter().map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let n_variants = self.variants.len();
-        let mut cells: Vec<Option<Result<Measurement, String>>> = Vec::with_capacity(n_jobs_total);
-        cells.resize_with(n_jobs_total, || None);
-
-        std::thread::scope(|s| {
-            let (tx, rx) = mpsc::channel::<(usize, Result<Measurement, String>)>();
-            for _ in 0..workers {
-                let tx = tx.clone();
-                let next = &next;
-                let programs = &programs;
-                let workloads = &self.workloads;
-                let variants = &self.variants;
-                let window = self.window;
-                s.spawn(move || loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n_jobs_total {
-                        break;
-                    }
-                    let (w, v) = (i / n_variants, i % n_variants);
-                    // Shared state is a program cache and an atomic job
-                    // counter; a panicked job leaves both usable, so
-                    // AssertUnwindSafe holds.
-                    let m = catch_unwind(AssertUnwindSafe(|| {
-                        let program = programs[w].get_or_init(|| workloads[w].build());
-                        measure_program(
-                            workloads[w].name.as_str(),
-                            program,
-                            variants[v].cfg.clone(),
-                            window,
-                        )
-                    }))
-                    .map_err(panic_detail);
-                    // The receiver outlives all senders inside this scope;
-                    // a send failure means the main thread died first.
-                    let _ = tx.send((i, m));
-                });
-            }
-            drop(tx);
-            for (i, m) in rx {
-                cells[i] = Some(m);
-            }
+        let cells = par_map(self.workloads.len() * n_variants, self.job_count(), |i| {
+            let (workload, variant) = (
+                &self.workloads[i / n_variants],
+                &self.variants[i % n_variants],
+            );
+            // The only shared state is the program cache; a panicked
+            // job leaves it usable, so AssertUnwindSafe holds.
+            catch_unwind(AssertUnwindSafe(|| {
+                let program = programs[i / n_variants].get_or_init(|| workload.build());
+                measure_program(
+                    workload.name.as_str(),
+                    program,
+                    variant.cfg.clone(),
+                    self.window,
+                )
+            }))
+            .map_err(|payload| SweepError::JobFailed {
+                workload: workload.name.clone(),
+                label: variant.label.clone(),
+                detail: panic_detail(payload),
+            })
         });
-
-        let labels: Vec<String> = self.variants.into_iter().map(|v| v.label).collect();
-        let mut merged = Vec::with_capacity(n_jobs_total);
-        for (i, cell) in cells.into_iter().enumerate() {
-            let job_failed = |detail: String| SweepError::JobFailed {
-                workload: self.workloads[i / n_variants].name.clone(),
-                label: labels[i % n_variants].clone(),
-                detail,
-            };
-            match cell {
-                Some(Ok(m)) => merged.push(m),
-                Some(Err(detail)) => return Err(job_failed(detail)),
-                None => return Err(job_failed("worker exited without a result".to_string())),
-            }
-        }
         Ok(SweepGrid {
+            cells: cells.into_iter().collect::<Result<_, _>>()?,
             workloads: self.workloads,
-            labels,
-            cells: merged,
+            labels: self.variants.into_iter().map(|v| v.label).collect(),
         })
     }
+}
+
+/// Maps `f` over `0..n` on up to `jobs` scoped worker threads and returns
+/// the results **in index order**, whatever order they finished in — the
+/// one thread pool behind the sweep engine and the fuzz runner. Workers
+/// claim indices from a shared counter, so one slow job never idles the
+/// others. A panic in `f` reaches the caller once every worker has
+/// stopped; callers that must survive one catch it inside `f`.
+pub(crate) fn par_map<T: Send>(n: usize, jobs: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = jobs.max(1).min(n.max(1));
+    let next = AtomicUsize::new(0);
+    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
+    out.resize_with(n, || None);
+    std::thread::scope(|s| {
+        let (tx, rx) = mpsc::channel();
+        for _ in 0..workers {
+            let tx = tx.clone();
+            let (next, f) = (&next, &f);
+            s.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
+                }
+                // The receiver outlives every sender inside this scope.
+                let _ = tx.send((i, f(i)));
+            });
+        }
+        drop(tx);
+        for (i, r) in rx {
+            out[i] = Some(r);
+        }
+    });
+    out.into_iter()
+        .map(|r| r.expect("every index is claimed by a worker"))
+        .collect()
 }
 
 /// The completed (workload × variant) measurement matrix, in spec order.
@@ -378,6 +376,7 @@ impl<'a> SweepRow<'a> {
 mod tests {
     use super::*;
     use regshare_workloads::mini;
+    use std::sync::{Condvar, Mutex};
 
     fn tiny_window() -> RunWindow {
         RunWindow {
@@ -472,6 +471,33 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn par_map_returns_results_in_index_order() {
+        let n = 7;
+        let squares: Vec<usize> = (0..n).map(|i| i * i).collect();
+        assert_eq!(par_map(n, 1, |i| i * i), squares);
+        // More workers than jobs, each job held until the next index has
+        // finished: results arrive in reverse and must still merge in
+        // index order.
+        let lowest_done = (Mutex::new(n), Condvar::new());
+        let got = par_map(n, 16, |i| {
+            let (lock, cv) = &lowest_done;
+            let mut lowest = cv
+                .wait_while(lock.lock().unwrap(), |l| *l != i + 1)
+                .unwrap();
+            *lowest = i;
+            cv.notify_all();
+            i * i
+        });
+        assert_eq!(got, squares);
+    }
+
+    #[test]
+    fn par_map_over_no_jobs_is_empty() {
+        // As in a sweep with no workloads.
+        assert!(par_map(0, 4, |i| i).is_empty());
     }
 
     #[test]

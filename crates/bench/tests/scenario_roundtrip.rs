@@ -156,18 +156,6 @@ fn scenario_from(raw: &[u64]) -> Scenario {
         // Index prefix guarantees label uniqueness without a dedup pass.
         .map(|i| (format!("v{i}{}", d.ident()), d.variant()))
         .collect();
-    let checkpoint_interval = if d.next().is_multiple_of(3) {
-        Some(1 + d.next() % 1_000_000)
-    } else {
-        None
-    };
-    let resume_from = if d.next().is_multiple_of(3) {
-        // Paths are note-charset strings; slashes exercise the non-ident
-        // characters the checkpoint CLI feeds through this key.
-        Some(format!("{}/{}.ckpt", d.ident(), d.ident()))
-    } else {
-        None
-    };
     Scenario {
         name: d.ident(),
         note: d.note(),
@@ -176,8 +164,6 @@ fn scenario_from(raw: &[u64]) -> Scenario {
         fuzz,
         asm,
         variants,
-        checkpoint_interval,
-        resume_from,
     }
 }
 

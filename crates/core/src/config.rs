@@ -12,9 +12,9 @@ use regshare_types::ARCH_REGS_PER_CLASS;
 /// A structural problem in a [`CoreConfig`] that would make the simulator
 /// deadlock, panic, or silently model a machine that cannot exist.
 ///
-/// Returned by [`CoreConfig::validate`] and [`CoreConfigBuilder::build`];
-/// each variant names the offending field so callers (and scenario files)
-/// get an actionable message instead of a hung or nonsensical run.
+/// Returned by [`CoreConfig::validate`]; each variant names the offending
+/// field so callers (and scenario files) get an actionable message instead
+/// of a hung or nonsensical run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A pipeline width is zero (`frontend_width`, `issue_width`,
@@ -334,8 +334,8 @@ impl CoreConfig {
     /// widths, empty windows, an ISRB larger than the PRF, zero-width
     /// counters, a zero squash-walk width — returning the first problem as
     /// a typed [`ConfigError`]. Hand-mutated configs used to silently
-    /// deadlock or model nonsense machines; every builder and scenario
-    /// entry point now funnels through this check.
+    /// deadlock or model nonsense machines; every scenario entry point
+    /// funnels through this check.
     pub fn validate(&self) -> Result<(), ConfigError> {
         for (field, v) in [
             ("frontend_width", self.frontend_width),
@@ -424,7 +424,7 @@ impl CoreConfig {
             .unwrap_or(0);
         if self.tage.components.len() > regshare_predictors::tage::MAX_COMPONENTS || max_log >= 32 {
             // `Tage::new` would panic on these; surface them as the typed
-            // error the builder contract promises.
+            // error this check promises.
             return Err(ConfigError::TageGeometry {
                 components: self.tage.components.len(),
                 max_log_entries: max_log,
@@ -472,174 +472,6 @@ impl CoreConfig {
         h.write(format!("{self:?}").as_bytes());
         h.finish()
     }
-
-    /// Starts a validated [`CoreConfigBuilder`] from the Table 1 machine.
-    pub fn builder() -> CoreConfigBuilder {
-        CoreConfigBuilder {
-            cfg: CoreConfig::hpca16(),
-        }
-    }
-}
-
-/// Validated builder over [`CoreConfig`].
-///
-/// The free-form struct stays available for exotic studies, but the builder
-/// is the supported way to assemble a config: every setter is chainable and
-/// [`CoreConfigBuilder::build`] rejects structurally impossible machines
-/// with a typed [`ConfigError`] instead of letting them silently deadlock.
-///
-/// # Examples
-///
-/// ```
-/// use regshare_core::{ConfigError, CoreConfig};
-///
-/// let cfg = CoreConfig::builder()
-///     .move_elimination(true)
-///     .smb(true)
-///     .isrb_entries(32)
-///     .build()
-///     .unwrap();
-/// assert!(cfg.move_elimination && cfg.smb);
-///
-/// let err = CoreConfig::builder().isrb_entries(4096).build().unwrap_err();
-/// assert!(matches!(err, ConfigError::IsrbExceedsPrf { .. }));
-/// ```
-#[derive(Debug, Clone)]
-pub struct CoreConfigBuilder {
-    cfg: CoreConfig,
-}
-
-impl From<CoreConfig> for CoreConfigBuilder {
-    /// Resumes building from an existing configuration (e.g. a preset).
-    fn from(cfg: CoreConfig) -> CoreConfigBuilder {
-        CoreConfigBuilder { cfg }
-    }
-}
-
-impl CoreConfigBuilder {
-    /// The tracker currently selected (before [`CoreConfigBuilder::build`]),
-    /// so layered builders can refine its geometry.
-    pub fn peek_tracker(&self) -> &TrackerKind {
-        &self.cfg.tracker
-    }
-
-    /// Sets the fetch/decode/rename width.
-    pub fn frontend_width(mut self, w: usize) -> Self {
-        self.cfg.frontend_width = w;
-        self
-    }
-
-    /// Sets the issue width.
-    pub fn issue_width(mut self, w: usize) -> Self {
-        self.cfg.issue_width = w;
-        self
-    }
-
-    /// Sets the retire width.
-    pub fn commit_width(mut self, w: usize) -> Self {
-        self.cfg.commit_width = w;
-        self
-    }
-
-    /// Sets the ROB size.
-    pub fn rob_entries(mut self, n: usize) -> Self {
-        self.cfg.rob_entries = n;
-        self
-    }
-
-    /// Sets the unified IQ size.
-    pub fn iq_entries(mut self, n: usize) -> Self {
-        self.cfg.iq_entries = n;
-        self
-    }
-
-    /// Sets the load-queue size.
-    pub fn lq_entries(mut self, n: usize) -> Self {
-        self.cfg.lq_entries = n;
-        self
-    }
-
-    /// Sets the store-queue size.
-    pub fn sq_entries(mut self, n: usize) -> Self {
-        self.cfg.sq_entries = n;
-        self
-    }
-
-    /// Sets the physical-register count per class.
-    pub fn pregs_per_class(mut self, n: usize) -> Self {
-        self.cfg.pregs_per_class = n;
-        self
-    }
-
-    /// Enables or disables move elimination (§2).
-    pub fn move_elimination(mut self, on: bool) -> Self {
-        self.cfg.move_elimination = on;
-        self
-    }
-
-    /// Enables or disables FP-to-FP move elimination.
-    pub fn me_fp_moves(mut self, on: bool) -> Self {
-        self.cfg.me_fp_moves = on;
-        self
-    }
-
-    /// Enables or disables speculative memory bypassing (§3).
-    pub fn smb(mut self, on: bool) -> Self {
-        self.cfg.smb = on;
-        self
-    }
-
-    /// Enables or disables load-load bypassing (§6.2).
-    pub fn smb_load_load(mut self, on: bool) -> Self {
-        self.cfg.smb_load_load = on;
-        self
-    }
-
-    /// Enables or disables bypassing from committed µ-ops under lazy
-    /// reclaim (§3.3).
-    pub fn smb_from_committed(mut self, on: bool) -> Self {
-        self.cfg.smb_from_committed = on;
-        self
-    }
-
-    /// Replaces the sharing tracker.
-    pub fn tracker(mut self, tracker: TrackerKind) -> Self {
-        self.cfg.tracker = tracker;
-        self
-    }
-
-    /// Resizes the ISRB (0 = unlimited), switching to an ISRB tracker if a
-    /// different scheme was selected.
-    pub fn isrb_entries(mut self, entries: usize) -> Self {
-        self.cfg = self.cfg.with_isrb_entries(entries);
-        self
-    }
-
-    /// Replaces the distance predictor.
-    pub fn distance_predictor(mut self, kind: DistancePredictorKind) -> Self {
-        self.cfg.distance_predictor = kind;
-        self
-    }
-
-    /// Replaces the DDT geometry.
-    pub fn ddt(mut self, ddt: DdtConfig) -> Self {
-        self.cfg.ddt = ddt;
-        self
-    }
-
-    /// Escape hatch for fields without a dedicated setter (predictor
-    /// geometries, latencies, port counts); the closure mutates the config
-    /// in place and [`CoreConfigBuilder::build`] still validates the result.
-    pub fn tweak(mut self, f: impl FnOnce(&mut CoreConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// Validates and returns the finished configuration.
-    pub fn build(self) -> Result<CoreConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
 }
 
 #[cfg(test)]
@@ -649,7 +481,7 @@ mod tests {
     #[test]
     fn oversized_tage_geometry_is_a_typed_error_not_a_panic() {
         // `Tage::new` asserts these limits; validate() must catch them
-        // first so the builder keeps its typed-error contract.
+        // first so a bad geometry stays a typed error.
         let mut cfg = CoreConfig::hpca16();
         let extra = cfg.tage.components[0];
         while cfg.tage.components.len() <= regshare_predictors::tage::MAX_COMPONENTS {

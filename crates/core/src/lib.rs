@@ -41,7 +41,7 @@ pub mod rob;
 pub mod sim;
 pub mod stats;
 
-pub use config::{ConfigError, CoreConfig, CoreConfigBuilder, DistancePredictorKind, TrackerKind};
+pub use config::{ConfigError, CoreConfig, DistancePredictorKind, TrackerKind};
 pub use regshare_refcount::SharingTracker;
 pub use sim::Simulator;
 pub use stats::SimStats;

@@ -163,8 +163,10 @@ impl SimStats {
     }
 
     /// Subtracts a warmup snapshot from an end-of-run snapshot so the
-    /// measured window excludes warmup activity (monotonic counters only;
-    /// running means and peaks are left as end-of-run values).
+    /// measured window excludes warmup activity — for the monotonic
+    /// counters only. `tracker`, `share_distance`, `reclaim_check_distance`
+    /// and `peak_checkpoints` are carried over as end-of-run values, so
+    /// they include the warmup.
     pub fn delta_since(&self, warm: &SimStats) -> SimStats {
         SimStats {
             cycles: self.cycles - warm.cycles,

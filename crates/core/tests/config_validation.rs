@@ -1,10 +1,25 @@
-//! Every structurally impossible configuration the builder must reject,
-//! and the exact typed error it must reject it with. Before validation
-//! existed these configs silently deadlocked the simulator or modelled
-//! machines that cannot exist.
+//! Every structurally impossible configuration `CoreConfig::validate`
+//! must reject, and the exact typed error it must reject it with. Before
+//! validation existed these configs silently deadlocked the simulator or
+//! modelled machines that cannot exist.
 
 use regshare_core::{ConfigError, CoreConfig, TrackerKind};
 use regshare_refcount::IsrbConfig;
+
+/// Validates the Table 1 machine after `mutate` has been applied to it.
+fn check(mutate: impl FnOnce(&mut CoreConfig)) -> Result<(), ConfigError> {
+    let mut cfg = CoreConfig::hpca16();
+    mutate(&mut cfg);
+    cfg.validate()
+}
+
+/// Validates the Table 1 machine with `pregs` registers per class and an
+/// `entries`-entry ISRB (0 = unlimited).
+fn sized(pregs: usize, entries: usize) -> Result<(), ConfigError> {
+    let mut cfg = CoreConfig::hpca16().with_isrb_entries(entries);
+    cfg.pregs_per_class = pregs;
+    cfg.validate()
+}
 
 #[test]
 fn table1_machine_is_valid() {
@@ -13,15 +28,13 @@ fn table1_machine_is_valid() {
 }
 
 #[test]
-fn builder_accepts_every_paper_design_point() {
+fn every_paper_design_point_is_valid() {
     for entries in [0, 8, 16, 24, 32] {
-        let cfg = CoreConfig::builder()
-            .move_elimination(true)
-            .smb(true)
-            .isrb_entries(entries)
-            .build()
-            .expect("paper design point");
-        cfg.validate().expect("built configs are valid");
+        let cfg = CoreConfig::hpca16()
+            .with_me()
+            .with_smb()
+            .with_isrb_entries(entries);
+        cfg.validate().expect("paper design point");
     }
 }
 
@@ -41,7 +54,7 @@ fn zero_widths_are_rejected_with_the_field_name() {
             Box::new(|c: &mut CoreConfig| c.commit_width = 0),
         ),
     ] {
-        let err = CoreConfig::builder().tweak(&*f).build().unwrap_err();
+        let err = check(&*f).unwrap_err();
         assert_eq!(err, ConfigError::ZeroWidth(field));
         assert!(err.to_string().contains(field), "message names the field");
     }
@@ -67,7 +80,7 @@ fn empty_windows_are_rejected_with_the_field_name() {
             Box::new(|c: &mut CoreConfig| c.sq_entries = 0),
         ),
     ] {
-        let err = CoreConfig::builder().tweak(&*f).build().unwrap_err();
+        let err = check(&*f).unwrap_err();
         assert_eq!(err, ConfigError::ZeroCapacity(field));
     }
 }
@@ -90,7 +103,7 @@ fn zero_functional_units_are_rejected() {
         ),
         ("mem_ports", Box::new(|c: &mut CoreConfig| c.mem_ports = 0)),
     ] {
-        let err = CoreConfig::builder().tweak(&*f).build().unwrap_err();
+        let err = check(&*f).unwrap_err();
         assert_eq!(err, ConfigError::ZeroUnits(field));
     }
 }
@@ -99,27 +112,16 @@ fn zero_functional_units_are_rejected() {
 fn prf_must_cover_the_architectural_registers() {
     // 16 architectural registers per class: 16 pregs leaves rename no
     // destination to allocate, 17 is the floor.
-    let err = CoreConfig::builder()
-        .pregs_per_class(16)
-        .build()
-        .unwrap_err();
+    let err = check(|c| c.pregs_per_class = 16).unwrap_err();
     assert_eq!(err, ConfigError::PrfTooSmall { pregs: 16, min: 17 });
     // (unlimited ISRB: a 32-entry ISRB over a 17-register PRF would trip
     // the IsrbExceedsPrf check first)
-    assert!(CoreConfig::builder()
-        .pregs_per_class(17)
-        .isrb_entries(0)
-        .build()
-        .is_ok());
+    assert!(sized(17, 0).is_ok());
 }
 
 #[test]
 fn isrb_larger_than_prf_is_rejected() {
-    let err = CoreConfig::builder()
-        .pregs_per_class(64)
-        .isrb_entries(65)
-        .build()
-        .unwrap_err();
+    let err = sized(64, 65).unwrap_err();
     assert_eq!(
         err,
         ConfigError::IsrbExceedsPrf {
@@ -129,28 +131,20 @@ fn isrb_larger_than_prf_is_rejected() {
     );
     // entries == pregs is the degenerate-but-legal maximum, and 0 means
     // unlimited rather than "zero entries".
-    assert!(CoreConfig::builder()
-        .pregs_per_class(64)
-        .isrb_entries(64)
-        .build()
-        .is_ok());
-    assert!(CoreConfig::builder()
-        .pregs_per_class(64)
-        .isrb_entries(0)
-        .build()
-        .is_ok());
+    assert!(sized(64, 64).is_ok());
+    assert!(sized(64, 0).is_ok());
 }
 
 #[test]
 fn isrb_counter_width_must_fit_a_checkpointable_counter() {
     for bits in [0u32, 32, 64] {
-        let err = CoreConfig::builder()
-            .tracker(TrackerKind::Isrb(IsrbConfig {
+        let err = check(|c| {
+            c.tracker = TrackerKind::Isrb(IsrbConfig {
                 counter_bits: bits,
                 ..IsrbConfig::hpca16()
-            }))
-            .build()
-            .unwrap_err();
+            })
+        })
+        .unwrap_err();
         assert_eq!(
             err,
             ConfigError::CounterBitsOutOfRange {
@@ -160,49 +154,41 @@ fn isrb_counter_width_must_fit_a_checkpointable_counter() {
         );
     }
     for bits in [1u32, 3, 31] {
-        assert!(CoreConfig::builder()
-            .tracker(TrackerKind::Isrb(IsrbConfig {
-                counter_bits: bits,
-                ..IsrbConfig::hpca16()
-            }))
-            .build()
-            .is_ok());
+        assert!(check(|c| c.tracker = TrackerKind::Isrb(IsrbConfig {
+            counter_bits: bits,
+            ..IsrbConfig::hpca16()
+        }))
+        .is_ok());
     }
 }
 
 #[test]
 fn zero_walk_width_is_rejected() {
-    let err = CoreConfig::builder()
-        .tracker(TrackerKind::PerRegCounters { walk_width: 0 })
-        .build()
-        .unwrap_err();
+    let err = check(|c| c.tracker = TrackerKind::PerRegCounters { walk_width: 0 }).unwrap_err();
     assert_eq!(err, ConfigError::ZeroWalkWidth);
 }
 
 #[test]
 fn empty_associative_trackers_are_rejected() {
-    let err = CoreConfig::builder()
-        .tracker(TrackerKind::Mit { entries: 0 })
-        .build()
-        .unwrap_err();
+    let err = check(|c| c.tracker = TrackerKind::Mit { entries: 0 }).unwrap_err();
     assert_eq!(err, ConfigError::ZeroTrackerEntries("mit"));
 
-    let err = CoreConfig::builder()
-        .tracker(TrackerKind::Rda {
+    let err = check(|c| {
+        c.tracker = TrackerKind::Rda {
             entries: 0,
             counter_bits: 3,
-        })
-        .build()
-        .unwrap_err();
+        }
+    })
+    .unwrap_err();
     assert_eq!(err, ConfigError::ZeroTrackerEntries("rda"));
 
-    let err = CoreConfig::builder()
-        .tracker(TrackerKind::Rda {
+    let err = check(|c| {
+        c.tracker = TrackerKind::Rda {
             entries: 32,
             counter_bits: 0,
-        })
-        .build()
-        .unwrap_err();
+        }
+    })
+    .unwrap_err();
     assert_eq!(
         err,
         ConfigError::CounterBitsOutOfRange {
@@ -218,9 +204,9 @@ fn config_error_implements_std_error() {
     assert!(!err.to_string().is_empty());
 }
 
-/// One table covering *every* `ConfigError` variant: a builder mutation
-/// that must trip exactly that variant, plus a fragment its message must
-/// contain. The match in `covered` is exhaustive, so adding a variant
+/// One table covering *every* `ConfigError` variant: a mutation of the
+/// Table 1 machine that must trip exactly that variant, plus a fragment
+/// its message must contain. The match in `covered` is exhaustive, so adding a variant
 /// without extending the table is a compile error here.
 #[test]
 fn every_config_error_variant_has_a_rejection_path_and_message() {
@@ -313,7 +299,7 @@ fn every_config_error_variant_has_a_rejection_path_and_message() {
     ];
 
     for (what, mutate, expected) in &cases {
-        let err = CoreConfig::builder().tweak(&**mutate).build().unwrap_err();
+        let err = check(&**mutate).unwrap_err();
         assert_eq!(&err, expected, "{what}");
         let needle = covered(&err);
         assert!(

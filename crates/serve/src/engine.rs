@@ -6,8 +6,7 @@
 //!
 //! 1. a request naming a host file (`kind = "asm"` with `path = ...`) is
 //!    rejected with [`ServeError::HostPath`] before anything reads it; the
-//!    rest is normalized (checkpoint plumbing cleared) and validated with
-//!    the scenario layer's typed errors;
+//!    rest is validated with the scenario layer's typed errors;
 //! 2. every cell is content-addressed with
 //!    [`regshare_bench::cell_digest`] and looked up in the persistent
 //!    [`Cache`];
@@ -380,25 +379,15 @@ impl Engine {
         &self.shared.cache
     }
 
-    /// Normalizes a request: the daemon owns checkpoint plumbing (those
-    /// keys are cleared).
-    fn normalize(&self, scenario: &Scenario) -> Scenario {
-        let mut s = scenario.clone();
-        s.checkpoint_interval = None;
-        s.resume_from = None;
-        s
-    }
-
     /// Serves one request. See the module docs for the full pipeline.
     pub fn submit(&self, scenario: &Scenario, format: Format) -> Result<ServeResponse, ServeError> {
         if scenario.asm.as_ref().is_some_and(|a| a.path.is_some()) {
             return Err(ServeError::HostPath);
         }
-        let s = self.normalize(scenario);
-        s.validate()?;
-        let workloads = s.resolve_workloads()?;
-        let mut configs: Vec<CoreConfig> = Vec::with_capacity(s.variants.len());
-        for (label, spec) in &s.variants {
+        scenario.validate()?;
+        let workloads = scenario.resolve_workloads()?;
+        let mut configs: Vec<CoreConfig> = Vec::with_capacity(scenario.variants.len());
+        for (label, spec) in &scenario.variants {
             configs.push(spec.to_config().map_err(|e| ScenarioError::InVariant {
                 label: label.clone(),
                 source: Box::new(e),
@@ -406,10 +395,10 @@ impl Engine {
         }
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
 
-        let window = s.options.window();
+        let window = scenario.options.window();
         let nv = configs.len();
         let n = workloads.len() * nv;
-        let label_of = |i: usize| s.variants[i % nv].0.clone();
+        let label_of = |i: usize| scenario.variants[i % nv].0.clone();
         let mut stats: Vec<Option<SimStats>> = vec![None; n];
         let mut from_cache = vec![false; n];
         // Duplicate keys inside one request (two labels resolving to the
@@ -564,11 +553,11 @@ impl Engine {
                 }
             }
         }
-        let labels: Vec<String> = s.variants.iter().map(|(l, _)| l.clone()).collect();
+        let labels: Vec<String> = scenario.variants.iter().map(|(l, _)| l.clone()).collect();
         let grid = SweepGrid::from_parts(workloads, labels, cells)?;
         let body = match format {
-            Format::Table => render_report(&s, &grid)?,
-            Format::Json => json_report(&s, &grid, &from_cache)?,
+            Format::Table => render_report(scenario, &grid)?,
+            Format::Json => json_report(scenario, &grid, &from_cache)?,
         };
         Ok(ServeResponse {
             body,

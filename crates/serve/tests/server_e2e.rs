@@ -119,6 +119,15 @@ fn unknown_variant_is_one_err_line_and_daemon_keeps_serving() {
     assert!(err.starts_with("scenario: "), "got {err:?}");
     assert!(!err.contains('\n'), "error replies are one line");
 
+    // Checkpointing is a run plan, not part of a scenario: a request that
+    // carries the key is refused the same way, naming it.
+    let ckpt = "name = \"ckpt_key\"\nresume_from = \"x.ckpt\"\n\
+                \n[variant.base]\npreset = \"hpca16\"\n";
+    let err = conn.run(ckpt, Format::Table).unwrap().unwrap_err();
+    assert!(err.starts_with("scenario: "), "got {err:?}");
+    assert!(err.contains("unknown key \"resume_from\""), "got {err:?}");
+    assert!(!err.contains('\n'), "error replies are one line");
+
     // The same connection immediately serves a real request — an
     // assembled corpus kernel addressed through the text format.
     let good = "name = \"after_err\"\nkind = \"asm\"\nkernel = \"quicksort\"\n\

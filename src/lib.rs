@@ -41,11 +41,8 @@
 //!
 //! let wl = workloads::mini();
 //! let program = wl.build();
-//! let cfg = CoreConfig::builder()
-//!     .move_elimination(true)
-//!     .smb(true)
-//!     .build()
-//!     .expect("valid config");
+//! let cfg = CoreConfig::hpca16().with_me().with_smb();
+//! cfg.validate().expect("valid config");
 //! let mut sim = Simulator::new(&program, cfg);
 //! let run = sim.run(1_000);
 //! assert_eq!(run.committed, 1_000);
@@ -85,4 +82,4 @@ pub use regshare_workloads as workloads;
 pub use regshare_bench::{
     preset, RunOptions, Scenario, ScenarioBuilder, ScenarioError, VariantSpec,
 };
-pub use regshare_core::{ConfigError, CoreConfigBuilder};
+pub use regshare_core::ConfigError;

@@ -43,7 +43,6 @@ fn facade_reexports_resolve() {
     assert_eq!(s.name, "headline");
     let _spec: regshare::VariantSpec = regshare::VariantSpec::hpca16();
     let _opts: regshare::RunOptions = regshare::RunOptions::default();
-    let _builder: regshare::CoreConfigBuilder = regshare::core::CoreConfig::builder();
     assert!(matches!(
         regshare::bench::Scenario::parse("no name here"),
         Err(regshare::ScenarioError::Syntax { .. })
