@@ -19,21 +19,23 @@
 //! additionally self-validates against its (configuration, program) pair.
 //!
 //! Checkpointed execution is serial (one cell at a time, in the same
-//! row-major order the parallel engine merges in); the measurement
-//! protocol is identical, so the finished [`SweepGrid`] matches the
-//! parallel engine's cell for cell. What to checkpoint is a run plan
-//! ([`Checkpointing`]) passed beside the scenario, never part of it;
-//! [`run_sweep`] falls back to the parallel engine when the plan requests
-//! no checkpointing. On success the image file is deleted.
+//! row-major order the parallel engine merges in), and each cell is
+//! measured by the same crate-private `harness::measure` as the parallel
+//! engine — with the image writer as its checkpoint callback — so the
+//! finished [`SweepGrid`] matches the parallel engine's cell for cell.
+//! What to checkpoint is a run plan ([`Checkpointing`]) passed beside the
+//! scenario, never part of it; [`run_sweep`] falls back to the parallel
+//! engine when the plan requests no checkpointing. On success the image
+//! file is deleted.
 
-use crate::harness::Measurement;
+use crate::harness::{measure, Measurement};
 use crate::report::render_report;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sweep::SweepGrid;
-use regshare_core::{CoreConfig, SimStats, Simulator};
+use regshare_core::{SimStats, Simulator};
 use regshare_isa::Program;
 use regshare_types::snapshot::{
-    read_header, write_header, Snap, SnapError, SnapReader, SnapWriter,
+    read_header, write_header, Snap, SnapError, SnapReader, SnapWriter, SNAPSHOT,
 };
 use std::num::NonZeroU64;
 
@@ -141,7 +143,7 @@ struct Image {
 
 fn encode_image(digest: u64, image: &Image) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    write_header(&mut w, digest);
+    write_header(&mut w, SNAPSHOT, digest);
     w.put_u64(image.interval);
     image.completed.encode(&mut w);
     image.in_progress.encode(&mut w);
@@ -150,7 +152,7 @@ fn encode_image(digest: u64, image: &Image) -> Vec<u8> {
 
 fn decode_image(bytes: &[u8], digest: u64) -> Result<Image, SnapError> {
     let mut r = SnapReader::new(bytes);
-    read_header(&mut r, digest)?;
+    read_header(&mut r, SNAPSHOT, digest)?;
     let interval = r.get_u64()?;
     if interval == 0 {
         return Err(r.corrupt("zero checkpoint interval"));
@@ -215,7 +217,6 @@ pub fn default_checkpoint_path(scenario: &Scenario) -> String {
 /// Typed [`CheckpointError`]s for invalid scenarios, missing/corrupt/
 /// foreign images, and filesystem failures.
 pub fn run_sweep(scenario: &Scenario, plan: &Checkpointing) -> Result<SweepGrid, CheckpointError> {
-    scenario.validate()?;
     if plan.every.is_none() && plan.resume.is_none() {
         return Ok(scenario.to_sweep()?.run()?);
     }
@@ -233,15 +234,8 @@ fn run_checkpointed(
     scenario: &Scenario,
     plan: &Checkpointing,
 ) -> Result<SweepGrid, CheckpointError> {
-    let workloads = scenario.resolve_workloads()?;
+    let (workloads, configs) = scenario.resolve()?;
     let labels: Vec<String> = scenario.variants.iter().map(|(l, _)| l.clone()).collect();
-    let mut configs: Vec<CoreConfig> = Vec::with_capacity(scenario.variants.len());
-    for (label, spec) in &scenario.variants {
-        configs.push(spec.to_config().map_err(|e| ScenarioError::InVariant {
-            label: label.clone(),
-            source: Box::new(e),
-        })?);
-    }
     let window = scenario.options.window();
     let digest = scenario_digest(scenario);
     let total = workloads.len() * labels.len();
@@ -285,49 +279,24 @@ fn run_checkpointed(
         let i = done.len();
         let (w, v) = (i / labels.len(), i % labels.len());
         let program = &*programs[w].get_or_insert_with(|| workloads[w].build());
-        let name = workloads[w].name.clone();
         let cfg = configs[v].clone();
 
-        let (mut sim, mut warm) = match in_progress.take() {
+        let (mut sim, warm) = match in_progress.take() {
             Some((warm, machine)) => (Simulator::resume_from(program, cfg, &machine)?, warm),
             None => (Simulator::new(program, cfg), None),
         };
-
-        // Warmup phase. The commit budget is absolute, so resuming at
-        // `committed` µ-ops and running the remainder reproduces the
-        // uninterrupted run exactly.
-        if warm.is_none() {
-            let committed = sim.stats().committed;
-            let warm_stats = sim.run_with_checkpoints(window.warmup - committed, every, |s| {
-                let _ = write_image(
-                    path,
-                    digest,
-                    &Image {
-                        interval: every,
-                        completed: done.clone(),
-                        in_progress: Some((None, s.save_snapshot())),
-                    },
-                );
-            });
-            warm = Some(warm_stats);
-        }
-        let warm_stats = warm.expect("warmup stats recorded");
-
-        // Measure phase, against the absolute warmup+measure target.
-        let committed = sim.stats().committed;
-        let target = window.warmup + window.measure;
-        let end = sim.run_with_checkpoints(target - committed, every, |s| {
+        let stats = measure(&mut sim, warm, window, every, |s, warm| {
             let _ = write_image(
                 path,
                 digest,
                 &Image {
                     interval: every,
                     completed: done.clone(),
-                    in_progress: Some((Some(warm_stats), s.save_snapshot())),
+                    in_progress: Some((warm, s.save_snapshot())),
                 },
             );
         });
-        done.push((name, end.delta_since(&warm_stats)));
+        done.push((workloads[w].name.clone(), stats));
 
         // A cell boundary is always durable, even with a huge interval.
         write_image(
@@ -438,7 +407,7 @@ mod tests {
         let base_cfg = plain.variants[0].1.to_config().unwrap();
         let both_cfg = plain.variants[1].1.to_config().unwrap();
 
-        let mut sim = Simulator::new(&program, base_cfg);
+        let mut sim = Simulator::new(&program, base_cfg.clone());
         let warm = sim.run(window.warmup);
         let end = sim.run(window.measure);
         let cell0 = ("crafty".to_string(), end.delta_since(&warm));
@@ -452,6 +421,20 @@ mod tests {
             in_progress: Some((Some(warm1), sim.save_snapshot())),
         };
         let path = tmp_path("resume");
+        write_image(&path, digest, &image).unwrap();
+
+        let grid = run_sweep(&plain, &resume(&path)).unwrap();
+        assert_same_grid(&grid, &reference);
+        assert!(!std::path::Path::new(&path).exists());
+
+        // Killed mid-warmup of cell 0: no warmup-end stats recorded yet.
+        let mut sim = Simulator::new(&program, base_cfg);
+        sim.run(window.warmup / 2);
+        let image = Image {
+            interval: 250,
+            completed: Vec::new(),
+            in_progress: Some((None, sim.save_snapshot())),
+        };
         write_image(&path, digest, &image).unwrap();
 
         let grid = run_sweep(&plain, &resume(&path)).unwrap();

@@ -801,11 +801,11 @@ impl Scenario {
         Scenario::parse(&text_src)
     }
 
-    /// One resolution pass shared by [`Scenario::validate`] and
-    /// [`Scenario::to_sweep`]: checks every name and option, and returns
-    /// the resolved workloads and per-variant configurations so callers
-    /// never resolve (or build the suite) twice.
-    fn resolved(&self) -> Result<(Vec<Workload>, Vec<CoreConfig>), ScenarioError> {
+    /// The one resolution pass behind [`Scenario::validate`],
+    /// [`Scenario::to_sweep`], the checkpointed sweep and the serve daemon:
+    /// checks every name and option, and returns the workloads and the
+    /// per-variant configurations, so no caller resolves twice.
+    pub fn resolve(&self) -> Result<(Vec<Workload>, Vec<CoreConfig>), ScenarioError> {
         check_name("scenario", &self.name)?;
         if !valid_note(&self.note) {
             return Err(ScenarioError::InvalidNote(self.note.clone()));
@@ -835,7 +835,7 @@ impl Scenario {
     /// Full validation: names, labels, options, workload existence, and
     /// every variant's resolved core configuration.
     pub fn validate(&self) -> Result<(), ScenarioError> {
-        self.resolved().map(|_| ())
+        self.resolve().map(|_| ())
     }
 
     /// The workload list this scenario runs over — the generated fuzz
@@ -906,7 +906,7 @@ impl Scenario {
     /// [`SweepSpec`] — the bridge from declarative scenario to the
     /// deterministic parallel sweep engine.
     pub fn to_sweep(&self) -> Result<SweepSpec, ScenarioError> {
-        let (workloads, configs) = self.resolved()?;
+        let (workloads, configs) = self.resolve()?;
         let mut spec = SweepSpec::new(workloads, self.options.window());
         if let Some(jobs) = self.options.jobs {
             spec = spec.jobs(jobs);
@@ -956,14 +956,6 @@ impl ScenarioBuilder {
     /// Names the workloads to run (replacing any previous list).
     pub fn workloads(mut self, names: &[&str]) -> Self {
         self.scenario.workloads = names.iter().map(|s| s.to_string()).collect();
-        self
-    }
-
-    /// Runs over the full 36-workload suite (the default).
-    pub fn full_suite(mut self) -> Self {
-        self.scenario.workloads.clear();
-        self.scenario.fuzz = None;
-        self.scenario.asm = None;
         self
     }
 

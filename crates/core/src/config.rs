@@ -5,7 +5,7 @@ use regshare_distance::{DdtConfig, NosqConfig, TageDistanceConfig};
 use regshare_mem::MemConfig;
 use regshare_predictors::{StoreSetsConfig, TageConfig};
 use regshare_refcount::{
-    Isrb, IsrbConfig, Mit, PerRegCounters, Rda, RothMatrix, SharingTracker, UnlimitedTracker,
+    Isrb, IsrbConfig, Mit, PerRegCounters, Rda, SharingTracker, UnlimitedTracker,
 };
 use regshare_types::ARCH_REGS_PER_CLASS;
 
@@ -152,7 +152,9 @@ impl TrackerKind {
             TrackerKind::PerRegCounters { walk_width } => {
                 Box::new(PerRegCounters::new(pregs_per_class, *walk_width))
             }
-            TrackerKind::RothMatrix => Box::new(RothMatrix::new(pregs_per_class, rob_entries)),
+            TrackerKind::RothMatrix => {
+                Box::new(PerRegCounters::roth_matrix(pregs_per_class, rob_entries))
+            }
             TrackerKind::Mit { entries } => Box::new(Mit::new(*entries)),
             TrackerKind::Rda {
                 entries,

@@ -21,7 +21,7 @@ use regshare_predictors::{Btb, ReturnAddressStack, StoreSets, Tage};
 use regshare_refcount::{ReclaimDecision, ReclaimRequest, ShareKind, ShareRequest, SharingTracker};
 use regshare_types::hasher::{mix64, FastHasher, FastMap};
 use regshare_types::snapshot::{
-    read_header, write_header, Snap, SnapError, SnapReader, SnapWriter, Snapshot,
+    read_header, write_header, Snap, SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT,
 };
 use regshare_types::{
     Addr, Cycle, HistorySnapshot, PhysReg, RegClass, SeqNum, ARCH_REGS_PER_CLASS,
@@ -338,26 +338,6 @@ impl Simulator {
     /// The configuration in use.
     pub fn config(&self) -> &CoreConfig {
         &self.cfg
-    }
-
-    /// Memory hierarchy statistics.
-    pub fn mem_stats(&self) -> regshare_mem::MemStats {
-        *self.mem.stats()
-    }
-
-    /// Memory-order violations trained into Store Sets so far.
-    pub fn violations_trained(&self) -> u64 {
-        self.store_sets.violations_trained()
-    }
-
-    /// Tracker storage report.
-    pub fn tracker_storage(&self) -> regshare_refcount::StorageReport {
-        self.tracker.storage()
-    }
-
-    /// Distance predictor storage in bits.
-    pub fn distance_storage_bits(&self) -> usize {
-        self.dist_pred.storage_bits()
     }
 
     /// Statistics so far (cycles/committed are running totals; use
@@ -1995,26 +1975,6 @@ impl Simulator {
         )
     }
 
-    /// Why is the commit head not issuing? (deadlock diagnostics)
-    pub fn debug_head_block(&self) -> String {
-        let Some((h, _)) = self.rob.head() else {
-            return "no head".into();
-        };
-        let Some(q) = self.iq.iter().find(|q| q.seq == h.seq) else {
-            return format!("head {} not in IQ (eliminated={})", h.seq, h.eliminated);
-        };
-        let mut out = format!("head {} class {:?}:", h.seq, q.class);
-        for k in 0..q.n_srcs as usize {
-            let i = q.srcs[k] as usize;
-            let (c, p) = (i / self.cfg.pregs_per_class, i % self.cfg.pregs_per_class);
-            out += &format!(" src{}=({},p{},ready_at={})", k, c, p, self.prf_ready[i]);
-        }
-        if let Some(d) = q.dep_store {
-            out += &format!(" dep_store={d}");
-        }
-        out
-    }
-
     /// Audits register-file accounting: every physical register must be
     /// either free or reachable (RM, CRM, or a live ROB entry), never both,
     /// and the free list must hold no duplicates.
@@ -2146,7 +2106,7 @@ impl Simulator {
     /// [`Simulator::stats`].
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        write_header(&mut w, config_digest(&self.cfg, &self.program));
+        write_header(&mut w, SNAPSHOT, config_digest(&self.cfg, &self.program));
         self.save_state(&mut w);
         w.finish()
     }
@@ -2167,7 +2127,7 @@ impl Simulator {
     ) -> Result<Simulator, SnapError> {
         let expected = config_digest(&cfg, program);
         let mut r = SnapReader::new(bytes);
-        read_header(&mut r, expected)?;
+        read_header(&mut r, SNAPSHOT, expected)?;
         let mut sim = Simulator::new(program, cfg);
         sim.load_state(&mut r)?;
         r.expect_eof()?;

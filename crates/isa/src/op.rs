@@ -441,12 +441,6 @@ impl DynUop {
         matches!(self.kind, UopKind::Store)
     }
 
-    /// Whether the µ-op is any branch.
-    #[inline]
-    pub fn is_branch(&self) -> bool {
-        matches!(self.kind, UopKind::Branch(_))
-    }
-
     /// The data source register of a store, if this is a store.
     ///
     /// By convention stores place the base register in `srcs[0]` and the

@@ -1,5 +1,6 @@
 //! The conventional per-register reference counter scheme (§1, §4.2) —
-//! the baseline the paper argues against.
+//! the baseline the paper argues against — and Roth's ROB×PRF matrix
+//! (§4.2, \[22\]), which makes the same decisions.
 //!
 //! One up/down counter per physical register: incremented on allocation and
 //! on every additional mapping, decremented on reclaim. Counters **cannot be
@@ -7,6 +8,12 @@
 //! older than the checkpoint), so misprediction recovery must *walk the
 //! squashed instructions sequentially* and undo their increments — the
 //! recovery-latency cost modelled by [`PerRegCounters::recovery_stall_cycles`].
+//!
+//! Roth's matrix has a row per ROB entry and a column per register; a
+//! column's population count is a reference count, so
+//! [`PerRegCounters::roth_matrix`] keeps the counters and changes only the
+//! recovery (a parallel row flash-clear, no walk) and the storage report
+//! (the real matrix geometry, ≈7.8KB on Haswell — the paper's objection).
 
 use crate::tracker::{
     CheckpointId, ReclaimDecision, ReclaimRequest, ShareRequest, SharingTracker, StorageReport,
@@ -14,7 +21,19 @@ use crate::tracker::{
 };
 use regshare_types::{PhysReg, RegClass};
 
-/// Per-register counter tracker with walk-based recovery.
+/// How a squash is recovered, which fixes the scheme's name, stall and
+/// storage.
+#[derive(Debug, Clone, Copy)]
+enum Recovery {
+    /// Counters: walk the squashed µ-ops, this many per cycle.
+    Walk(usize),
+    /// Roth's matrix: flash-clear the squashed rows of a matrix with this
+    /// many rows.
+    FlashClear { rob_entries: usize },
+}
+
+/// Per-register counter tracker with walk-based recovery, or Roth's matrix
+/// with flash-clear recovery ([`PerRegCounters::roth_matrix`]).
 ///
 /// # Examples
 ///
@@ -30,7 +49,7 @@ use regshare_types::{PhysReg, RegClass};
 #[derive(Debug)]
 pub struct PerRegCounters {
     counts: [Vec<u32>; 2],
-    walk_width: usize,
+    recovery: Recovery,
     stats: TrackerStats,
     #[cfg(debug_assertions)]
     trace: std::collections::HashMap<(usize, usize), Vec<&'static str>>,
@@ -45,9 +64,31 @@ impl PerRegCounters {
     /// Panics if `walk_width == 0`.
     pub fn new(pregs_per_class: usize, walk_width: usize) -> PerRegCounters {
         assert!(walk_width > 0, "walk width must be positive");
+        PerRegCounters::with_recovery(pregs_per_class, Recovery::Walk(walk_width))
+    }
+
+    /// Roth's matrix for `pregs_per_class` registers per class and
+    /// `rob_entries` rows: the same counts, recovered by a parallel row
+    /// flash-clear (no stall) and reported at the matrix's storage.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use regshare_refcount::{PerRegCounters, SharingTracker};
+    /// let t = PerRegCounters::roth_matrix(256, 192);
+    /// // Haswell-scale: ~2 × 192 × 256 bits of matrix.
+    /// assert!(t.storage().main_bits > 90_000);
+    /// // Flash-clear recovery: no walk stall.
+    /// assert_eq!(t.recovery_stall_cycles(100), 0);
+    /// ```
+    pub fn roth_matrix(pregs_per_class: usize, rob_entries: usize) -> PerRegCounters {
+        PerRegCounters::with_recovery(pregs_per_class, Recovery::FlashClear { rob_entries })
+    }
+
+    fn with_recovery(pregs_per_class: usize, recovery: Recovery) -> PerRegCounters {
         PerRegCounters {
             counts: [vec![0; pregs_per_class], vec![0; pregs_per_class]],
-            walk_width,
+            recovery,
             stats: TrackerStats::default(),
             #[cfg(debug_assertions)]
             trace: std::collections::HashMap::new(),
@@ -73,7 +114,10 @@ impl PerRegCounters {
 
 impl SharingTracker for PerRegCounters {
     fn name(&self) -> &'static str {
-        "per-reg-counters"
+        match self.recovery {
+            Recovery::Walk(_) => "per-reg-counters",
+            Recovery::FlashClear { .. } => "roth-matrix",
+        }
     }
 
     fn on_alloc(&mut self, class: RegClass, preg: PhysReg) {
@@ -160,14 +204,23 @@ impl SharingTracker for PerRegCounters {
     }
 
     fn recovery_stall_cycles(&self, squashed_uops: usize) -> u64 {
-        squashed_uops.div_ceil(self.walk_width) as u64
+        match self.recovery {
+            Recovery::Walk(width) => squashed_uops.div_ceil(width) as u64,
+            Recovery::FlashClear { .. } => 0, // rows clear in parallel
+        }
     }
 
     fn storage(&self) -> StorageReport {
-        // 4-bit counter per register (must count allocation + sharers).
         let regs = self.counts[0].len() + self.counts[1].len();
+        let main_bits = match self.recovery {
+            // 4-bit counter per register (must count allocation + sharers).
+            Recovery::Walk(_) => regs * 4,
+            // Rows × columns per class, plus the CRM columns the paper
+            // notes are not even counted in its 7.8KB figure.
+            Recovery::FlashClear { rob_entries } => rob_entries * regs,
+        };
         StorageReport {
-            main_bits: regs * 4,
+            main_bits,
             per_checkpoint_bits: 0,
         }
     }
@@ -281,6 +334,24 @@ mod tests {
         assert_eq!(t.recovery_stall_cycles(8), 1);
         assert_eq!(t.recovery_stall_cycles(9), 2);
         assert_eq!(t.recovery_stall_cycles(192), 24);
+    }
+
+    #[test]
+    fn roth_matrix_storage_matches_paper_scale() {
+        // Haswell: 192-entry ROB, 168+168 registers → ~7.8KB.
+        let t = PerRegCounters::roth_matrix(168, 192);
+        assert_eq!(t.name(), "roth-matrix");
+        let kb = t.storage().main_bits as f64 / 8.0 / 1024.0;
+        assert!((7.5..8.2).contains(&kb), "matrix storage {kb:.2}KB");
+    }
+
+    #[test]
+    fn roth_matrix_decisions_match_reference_counting() {
+        let mut t = PerRegCounters::roth_matrix(16, 32);
+        t.on_alloc(RegClass::Int, PhysReg::new(3));
+        t.try_share(&share(3));
+        assert_eq!(t.on_reclaim(&reclaim(3)), ReclaimDecision::Keep);
+        assert_eq!(t.on_reclaim(&reclaim(3)), ReclaimDecision::Free);
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //!
 //! This crate provides the [`SharingTracker`] trait — the event interface
 //! between an out-of-order core's rename/commit/recovery machinery and a
-//! reference-counting scheme — plus six implementations:
+//! reference-counting scheme — plus six schemes implementing it:
 //!
 //! | Scheme | Paper section | Recovery | Notes |
 //! |---|---|---|---|
 //! | [`Isrb`] | §4.3 | checkpoint restore, single cycle | **the contribution**: small fully-associative buffer, two never-decremented counters per entry |
 //! | [`UnlimitedTracker`] | §4.2 "ideal" | instant | per-register dual counters, unbounded; the oracle the ISRB is compared against |
 //! | [`PerRegCounters`] | §1/§4.2 | **sequential walk** of squashed µ-ops | the conventional scheme the paper argues against |
-//! | [`RothMatrix`] | §4.2 | flash clear | 2D ROB×PRF bit-matrix; decision-ideal but huge storage |
+//! | [`PerRegCounters::roth_matrix`] | §4.2 | flash clear | Roth's 2D ROB×PRF bit-matrix; the counters' decisions, huge storage |
 //! | [`Mit`] | §2.2/§4.2 | checkpoint restore | Intel patent scheme; arch-reg bitvectors, **cannot track SMB** |
 //! | [`Rda`] | §4.2 | checkpoint restore | Apple patent scheme; one counter/entry, commits must update **every** checkpoint |
 //!
@@ -46,7 +46,6 @@
 
 pub mod counters;
 pub mod isrb;
-pub mod matrix;
 pub mod mit;
 pub mod rda;
 pub mod tracker;
@@ -54,7 +53,6 @@ pub mod unlimited;
 
 pub use counters::PerRegCounters;
 pub use isrb::{Isrb, IsrbConfig};
-pub use matrix::RothMatrix;
 pub use mit::Mit;
 pub use rda::Rda;
 pub use tracker::{

@@ -22,8 +22,10 @@
 //! or journal to corrupt.
 
 use regshare_core::SimStats;
-use regshare_types::cache::{read_cache_header, write_cache_header};
-use regshare_types::snapshot::{Snap, SnapError, SnapReader, SnapWriter};
+use regshare_types::cache::CACHE;
+use regshare_types::snapshot::{
+    read_header, write_header, Snap, SnapError, SnapReader, SnapWriter,
+};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
@@ -101,7 +103,7 @@ impl Cache {
 
     fn encode(key: u64, workload: &str, stats: &SimStats) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        write_cache_header(&mut w, key);
+        write_header(&mut w, CACHE, key);
         workload.to_string().encode(&mut w);
         stats.encode(&mut w);
         w.finish()
@@ -109,7 +111,7 @@ impl Cache {
 
     fn decode(bytes: &[u8], key: u64, workload: &str) -> Result<SimStats, CacheError> {
         let mut r = SnapReader::new(bytes);
-        read_cache_header(&mut r, key)?;
+        read_header(&mut r, CACHE, key)?;
         let name = String::decode(&mut r)?;
         if name != workload {
             // The digest already covers the name; a mismatch means the

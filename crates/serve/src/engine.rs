@@ -384,15 +384,7 @@ impl Engine {
         if scenario.asm.as_ref().is_some_and(|a| a.path.is_some()) {
             return Err(ServeError::HostPath);
         }
-        scenario.validate()?;
-        let workloads = scenario.resolve_workloads()?;
-        let mut configs: Vec<CoreConfig> = Vec::with_capacity(scenario.variants.len());
-        for (label, spec) in &scenario.variants {
-            configs.push(spec.to_config().map_err(|e| ScenarioError::InVariant {
-                label: label.clone(),
-                source: Box::new(e),
-            })?);
-        }
+        let (workloads, configs) = scenario.resolve()?;
         self.shared.requests.fetch_add(1, Ordering::Relaxed);
 
         let window = scenario.options.window();

@@ -15,12 +15,14 @@
 //! 8       8     cell digest (u64 LE): content address of the entry
 //! ```
 //!
-//! [`read_cache_header`] refuses a stream whose magic, version or digest
-//! does not match, with the same typed [`SnapError`]s the snapshot codec
+//! The header is the snapshot header under another [`StreamFormat`], so
+//! [`read_header`](crate::snapshot::read_header) with [`CACHE`] refuses a
+//! stream whose magic, version or digest does not match, with the same
+//! typed [`SnapError`](crate::snapshot::SnapError)s the snapshot codec
 //! uses — a truncated or foreign-version cache file is a *diagnosed*
 //! rejection, never a panic or a silently-wrong result.
 
-use crate::snapshot::{SnapError, SnapReader, SnapWriter};
+use crate::snapshot::StreamFormat;
 
 /// Magic bytes opening every cache-entry stream.
 pub const CACHE_MAGIC: [u8; 4] = *b"RGSC";
@@ -31,53 +33,35 @@ pub const CACHE_MAGIC: [u8; 4] = *b"RGSC";
 /// (and recomputed), never reinterpreted.
 pub const CACHE_FORMAT_VERSION: u32 = 1;
 
-/// Writes the cache-entry header (magic, format version, cell digest).
-pub fn write_cache_header(w: &mut SnapWriter, cell_digest: u64) {
-    w.put_bytes(&CACHE_MAGIC);
-    w.put_u32(CACHE_FORMAT_VERSION);
-    w.put_u64(cell_digest);
-}
-
-/// Reads and validates a cache-entry header against `expected_digest`,
-/// in check order: magic, version, digest.
-pub fn read_cache_header(r: &mut SnapReader<'_>, expected_digest: u64) -> Result<(), SnapError> {
-    let magic: [u8; 4] = r.get_bytes(4)?.try_into().unwrap();
-    if magic != CACHE_MAGIC {
-        return Err(SnapError::BadMagic { found: magic });
-    }
-    let version = r.get_u32()?;
-    if version != CACHE_FORMAT_VERSION {
-        return Err(SnapError::BadVersion {
-            found: version,
-            supported: CACHE_FORMAT_VERSION,
-        });
-    }
-    let digest = r.get_u64()?;
-    if digest != expected_digest {
-        return Err(SnapError::ConfigDigestMismatch {
-            found: digest,
-            expected: expected_digest,
-        });
-    }
-    Ok(())
-}
+/// Cache entries: [`CACHE_MAGIC`], [`CACHE_FORMAT_VERSION`].
+pub const CACHE: StreamFormat = StreamFormat {
+    magic: CACHE_MAGIC,
+    version: CACHE_FORMAT_VERSION,
+};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{read_header, write_header, SnapError, SnapReader, SnapWriter, SNAPSHOT};
 
     fn entry(digest: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        write_cache_header(&mut w, digest);
+        write_header(&mut w, CACHE, digest);
         w.put_u64(0xfeed);
         w.finish()
     }
 
     #[test]
     fn round_trips_and_checks_in_order() {
-        let bytes = entry(42);
+        let bytes = entry(0x0102_0304_0506_0708);
+        // Pinned so existing cache directories keep loading: magic,
+        // version as u32 LE, digest as u64 LE.
+        assert_eq!(
+            bytes[..16],
+            *b"RGSC\x01\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01"
+        );
         let mut r = SnapReader::new(&bytes);
-        read_cache_header(&mut r, 42).unwrap();
+        read_header(&mut r, CACHE, 0x0102_0304_0506_0708).unwrap();
         assert_eq!(r.get_u64().unwrap(), 0xfeed);
         r.expect_eof().unwrap();
     }
@@ -86,10 +70,10 @@ mod tests {
     fn foreign_streams_are_refused_with_typed_errors() {
         // A machine snapshot is NOT a cache entry: different magic.
         let mut w = SnapWriter::new();
-        crate::snapshot::write_header(&mut w, 42);
+        write_header(&mut w, SNAPSHOT, 42);
         let snap = w.finish();
         assert!(matches!(
-            read_cache_header(&mut SnapReader::new(&snap), 42),
+            read_header(&mut SnapReader::new(&snap), CACHE, 42),
             Err(SnapError::BadMagic { .. })
         ));
 
@@ -97,7 +81,7 @@ mod tests {
         let mut bytes = entry(42);
         bytes[4] = CACHE_FORMAT_VERSION as u8 + 1;
         assert_eq!(
-            read_cache_header(&mut SnapReader::new(&bytes), 42),
+            read_header(&mut SnapReader::new(&bytes), CACHE, 42),
             Err(SnapError::BadVersion {
                 found: CACHE_FORMAT_VERSION + 1,
                 supported: CACHE_FORMAT_VERSION,
@@ -107,7 +91,7 @@ mod tests {
         // Wrong cell digest (a file renamed over another cell's address).
         let bytes = entry(7);
         assert_eq!(
-            read_cache_header(&mut SnapReader::new(&bytes), 42),
+            read_header(&mut SnapReader::new(&bytes), CACHE, 42),
             Err(SnapError::ConfigDigestMismatch {
                 found: 7,
                 expected: 42
@@ -118,7 +102,7 @@ mod tests {
         let bytes = entry(42);
         for cut in [0, 3, 7, 15] {
             assert!(matches!(
-                read_cache_header(&mut SnapReader::new(&bytes[..cut]), 42),
+                read_header(&mut SnapReader::new(&bytes[..cut]), CACHE, 42),
                 Err(SnapError::ShortRead { .. })
             ));
         }

@@ -37,11 +37,6 @@ impl SatCounter {
         }
     }
 
-    /// Creates a counter with an explicit maximum value (inclusive).
-    pub fn with_max(max: u32) -> SatCounter {
-        SatCounter { value: 0, max }
-    }
-
     /// Current counter value.
     #[inline]
     pub fn value(&self) -> u32 {

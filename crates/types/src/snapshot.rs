@@ -50,7 +50,8 @@ pub const FORMAT_VERSION: u32 = 2;
 /// decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
-    /// The stream does not start with [`MAGIC`] — not a snapshot at all.
+    /// The stream does not start with its format's magic ([`MAGIC`] for a
+    /// snapshot) — not this kind of stream at all.
     BadMagic {
         /// The four bytes actually found.
         found: [u8; 4],
@@ -59,7 +60,8 @@ pub enum SnapError {
     BadVersion {
         /// Version recorded in the stream.
         found: u32,
-        /// The only version this build reads ([`FORMAT_VERSION`]).
+        /// The only version this build reads ([`FORMAT_VERSION`] for a
+        /// snapshot).
         supported: u32,
     },
     /// The stream was captured under a different `CoreConfig`/program.
@@ -298,25 +300,46 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// Writes the snapshot header (magic, format version, context digest).
-pub fn write_header(w: &mut SnapWriter, context_digest: u64) {
-    w.put_bytes(&MAGIC);
-    w.put_u32(FORMAT_VERSION);
-    w.put_u64(context_digest);
+/// The identity of a versioned stream: the magic its header opens with and
+/// the one format version this build reads. Every stream header is
+/// `magic`, then `version` (u32 LE), then a digest (u64 LE).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StreamFormat {
+    /// Magic bytes opening the stream.
+    pub magic: [u8; 4],
+    /// Format version written, and the only one read.
+    pub version: u32,
 }
 
-/// Reads and validates the snapshot header against `expected_digest`,
-/// in check order: magic, version, digest.
-pub fn read_header(r: &mut SnapReader<'_>, expected_digest: u64) -> Result<(), SnapError> {
+/// Machine snapshots and checkpoint images: [`MAGIC`], [`FORMAT_VERSION`].
+pub const SNAPSHOT: StreamFormat = StreamFormat {
+    magic: MAGIC,
+    version: FORMAT_VERSION,
+};
+
+/// Writes a stream header: `format`'s magic and version, then `digest`.
+pub fn write_header(w: &mut SnapWriter, format: StreamFormat, digest: u64) {
+    w.put_bytes(&format.magic);
+    w.put_u32(format.version);
+    w.put_u64(digest);
+}
+
+/// Reads and validates a stream header against `format` and
+/// `expected_digest`, in check order: magic, version, digest.
+pub fn read_header(
+    r: &mut SnapReader<'_>,
+    format: StreamFormat,
+    expected_digest: u64,
+) -> Result<(), SnapError> {
     let magic: [u8; 4] = r.get_bytes(4)?.try_into().unwrap();
-    if magic != MAGIC {
+    if magic != format.magic {
         return Err(SnapError::BadMagic { found: magic });
     }
     let version = r.get_u32()?;
-    if version != FORMAT_VERSION {
+    if version != format.version {
         return Err(SnapError::BadVersion {
             found: version,
-            supported: FORMAT_VERSION,
+            supported: format.version,
         });
     }
     let digest = r.get_u64()?;
@@ -736,31 +759,35 @@ mod tests {
 
     #[test]
     fn header_checks_in_order() {
+        const DIGEST: u64 = 0x0102_0304_0506_0708;
         let mut w = SnapWriter::new();
-        write_header(&mut w, 0x1234);
+        write_header(&mut w, SNAPSHOT, DIGEST);
         let good = w.finish();
+        // Pinned so existing images keep loading: magic, version as u32 LE,
+        // digest as u64 LE.
+        assert_eq!(good, *b"RGSH\x02\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01");
         let mut r = SnapReader::new(&good);
-        read_header(&mut r, 0x1234).unwrap();
+        read_header(&mut r, SNAPSHOT, DIGEST).unwrap();
         r.expect_eof().unwrap();
 
         let mut bad_magic = good.clone();
         bad_magic[0] = b'X';
         assert!(matches!(
-            read_header(&mut SnapReader::new(&bad_magic), 0x1234),
+            read_header(&mut SnapReader::new(&bad_magic), SNAPSHOT, DIGEST),
             Err(SnapError::BadMagic { .. })
         ));
 
         let mut bad_version = good.clone();
         bad_version[4] = FORMAT_VERSION as u8 + 1;
         assert!(matches!(
-            read_header(&mut SnapReader::new(&bad_version), 0x1234),
+            read_header(&mut SnapReader::new(&bad_version), SNAPSHOT, DIGEST),
             Err(SnapError::BadVersion { .. })
         ));
 
         assert_eq!(
-            read_header(&mut SnapReader::new(&good), 0x9999),
+            read_header(&mut SnapReader::new(&good), SNAPSHOT, 0x9999),
             Err(SnapError::ConfigDigestMismatch {
-                found: 0x1234,
+                found: DIGEST,
                 expected: 0x9999
             })
         );

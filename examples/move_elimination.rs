@@ -7,16 +7,17 @@
 //! cargo run --release --example move_elimination
 //! ```
 
-use regshare::core::{CoreConfig, Simulator};
+use regshare::bench::{measure_program, RunWindow};
+use regshare::core::CoreConfig;
 use regshare::types::stats::speedup_pct;
 use regshare::workloads::suite;
 
 fn run(program: &regshare::isa::Program, cfg: CoreConfig) -> f64 {
-    let mut sim = Simulator::new(program, cfg);
-    sim.run(40_000);
-    let warm = *sim.stats();
-    sim.run(160_000);
-    sim.stats().delta_since(&warm).ipc()
+    let window = RunWindow {
+        warmup: 40_000,
+        measure: 160_000,
+    };
+    measure_program("", program, cfg, window).ipc()
 }
 
 fn main() {

@@ -7,17 +7,18 @@
 //! cargo run --release --example recovery_cost
 //! ```
 
-use regshare::core::{CoreConfig, Simulator, TrackerKind};
+use regshare::bench::{measure_program, RunWindow};
+use regshare::core::{CoreConfig, TrackerKind};
 use regshare::refcount::IsrbConfig;
 use regshare::types::stats::speedup_pct;
 use regshare::workloads::suite;
 
 fn run(program: &regshare::isa::Program, cfg: CoreConfig) -> (f64, u64, u64) {
-    let mut sim = Simulator::new(program, cfg);
-    sim.run(40_000);
-    let warm = *sim.stats();
-    sim.run(160_000);
-    let s = sim.stats().delta_since(&warm);
+    let window = RunWindow {
+        warmup: 40_000,
+        measure: 160_000,
+    };
+    let s = measure_program("", program, cfg, window).stats;
     (s.ipc(), s.branch_mispredicts, s.tracker_recovery_stalls)
 }
 

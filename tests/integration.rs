@@ -1,21 +1,20 @@
 //! Cross-crate integration tests: the full system assembled through the
 //! `regshare` facade.
 
+use regshare::bench::{measure_program, RunWindow};
 use regshare::core::{CoreConfig, DistancePredictorKind, Simulator, TrackerKind};
 use regshare::distance::NosqConfig;
 use regshare::refcount::IsrbConfig;
 use regshare::types::stats::speedup_pct;
 use regshare::workloads::{mini, suite};
 
-const WARM: u64 = 20_000;
-const MEASURE: u64 = 80_000;
+const WINDOW: RunWindow = RunWindow {
+    warmup: 20_000,
+    measure: 80_000,
+};
 
 fn ipc(program: &regshare::isa::Program, cfg: CoreConfig) -> f64 {
-    let mut sim = Simulator::new(program, cfg);
-    sim.run(WARM);
-    let warm = *sim.stats();
-    sim.run(MEASURE);
-    sim.stats().delta_since(&warm).ipc()
+    measure_program("", program, cfg, WINDOW).ipc()
 }
 
 #[test]
