@@ -35,9 +35,9 @@ options:
   --jobs N           worker threads (default: all cores)
   --budget-secs S    soak time budget (default 600)
   --resume PATH      soak: seed-cursor file; if it exists, continue from its
-                     recorded seed instead of --seed-base, and keep it
-                     updated so the next soak picks up where this one ends
-  --checkpoint-every N  soak: batches between cursor writes (default 1)
+                     recorded seed instead of --seed-base, and rewrite it
+                     after every batch so the next soak picks up where
+                     this one ends
   --artifact PATH    write failing-seed repro lines to PATH
   --inject-fault     deterministic self-test fault (pipeline proof)
   --shrink SPEC      repro mode: apply a printed shrink spec
@@ -53,7 +53,6 @@ struct Args {
     soak: bool,
     budget_secs: u64,
     resume: Option<String>,
-    checkpoint_every: u64,
     artifact: Option<String>,
     inject_fault: bool,
     repro: Option<(String, u64)>,
@@ -71,7 +70,6 @@ fn parse_args() -> Result<Option<Args>, String> {
         soak: false,
         budget_secs: 600,
         resume: None,
-        checkpoint_every: 1,
         artifact: None,
         inject_fault: false,
         repro: None,
@@ -119,16 +117,6 @@ fn parse_args() -> Result<Option<Args>, String> {
                 args.budget_secs = v.parse().map_err(|_| format!("bad --budget-secs {v:?}"))?;
             }
             "--resume" => args.resume = Some(value(&mut i)?),
-            "--checkpoint-every" => {
-                let v = value(&mut i)?;
-                let n: u64 = v
-                    .parse()
-                    .map_err(|_| format!("bad --checkpoint-every {v:?}"))?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be at least 1".to_string());
-                }
-                args.checkpoint_every = n;
-            }
             "--artifact" => args.artifact = Some(value(&mut i)?),
             "--inject-fault" => args.inject_fault = true,
             "--profile" => repro_profile = Some(value(&mut i)?),
@@ -353,7 +341,6 @@ fn main() {
         let mut total = 0usize;
         let mut all_failures = String::new();
         let mut failed = 0usize;
-        let mut batches_since_write = 0u64;
         while start.elapsed() < budget {
             let specs = case_matrix(&args.profiles, cursor.seed_base, args.seeds);
             let results = run_cases(&specs, &opts);
@@ -375,20 +362,10 @@ fn main() {
             );
             cursor.seed_base = cursor.seed_base.wrapping_add(args.seeds);
             cursor.programs += results.len() as u64;
-            batches_since_write += 1;
             if let Some(path) = &args.resume {
-                if batches_since_write >= args.checkpoint_every {
-                    if let Err(msg) = write_cursor(path, &cursor) {
-                        eprintln!("fuzz: {msg}");
-                    }
-                    batches_since_write = 0;
+                if let Err(msg) = write_cursor(path, &cursor) {
+                    eprintln!("fuzz: {msg}");
                 }
-            }
-        }
-        if let Some(path) = &args.resume {
-            // Final position, regardless of the write cadence.
-            if let Err(msg) = write_cursor(path, &cursor) {
-                eprintln!("fuzz: {msg}");
             }
         }
         println!(

@@ -21,9 +21,10 @@ use regshare_bench::cli::run_front_door;
 
 fn main() {
     let (args, scenario) = run_front_door("paper_report", "headline");
-    // Checkpoint-aware: with --checkpoint-every / --resume the run is
-    // resumable and still byte-identical to an uninterrupted one;
-    // otherwise this is the plain parallel sweep.
+    // Checkpoint-aware: with --checkpoint-file / --resume every finished
+    // cell is recorded, so a killed run resumes with only the missing
+    // cells and still prints what an uninterrupted one does; either way
+    // this is the parallel sweep.
     match checkpoint::run_report(&scenario, &args.checkpointing) {
         Ok(report) => print!("{report}"),
         Err(e) => {

@@ -18,8 +18,8 @@ fn main() {
     // preset additionally prints its per-mechanism diagnostics below. Gate
     // on how the scenario was selected, not on its self-declared name — a
     // user file named "smoke" need not have the preset's variant labels.
-    // Both paths go through the checkpoint-aware runner, which falls back
-    // to the parallel engine when no checkpointing is requested.
+    // Both paths go through the checkpoint-aware runner, which is the plain
+    // parallel engine when no checkpointing is requested.
     let is_builtin_smoke =
         args.scenario_path.is_none() && args.preset.as_deref().unwrap_or("smoke") == "smoke";
     if !is_builtin_smoke {

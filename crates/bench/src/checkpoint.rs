@@ -1,52 +1,45 @@
-//! Resumable sweeps: periodic on-disk checkpoints of a running scenario.
+//! Resumable sweeps: an on-disk record of every finished cell.
 //!
-//! A checkpointed run writes a single image file as it goes: the list of
-//! already-measured cells plus — mid-cell — a complete versioned machine
-//! snapshot ([`Simulator::save_snapshot`]). Killing the process at any
-//! point loses at most one checkpoint interval of committed µ-ops; resuming
-//! with the same scenario finishes the sweep and produces output
-//! **byte-identical** to an uninterrupted run (the commit budget is an
-//! absolute committed-count target, so an observational checkpoint
-//! callback cannot perturb the machine — see
-//! [`Simulator::run_with_checkpoints`]).
+//! Every cell of a sweep is a short, independent, deterministic
+//! warmup + measure run, so a finished cell's stats are all the progress
+//! a crash needs to keep. A checkpointed run is the ordinary parallel
+//! sweep plus an image write after each finished cell. The image holds one
+//! slot per (workload × variant) cell in row-major order — the cell's
+//! [`Measurement`] (workload name and measured stats) once it has
+//! finished, empty until then. It is written when the run starts and rewritten atomically after
+//! every finished cell, so a kill at any point loses only the cells in
+//! flight. Resuming re-runs just the cells the image does not hold, at any
+//! `--jobs`; since each cell is a pure function of (program,
+//! configuration, window), the finished [`SweepGrid`] and its report are
+//! **byte-identical** to an uninterrupted run. On success the image file
+//! is deleted.
 //!
 //! The image is pinned to its scenario by a digest header over the
 //! scenario's canonical rendering with the window resolved and the
 //! parallelism cleared, so resuming is robust to `--jobs` and to *where*
 //! the window came from (flags, file, defaults) while a different
 //! scenario or window is refused with a typed
-//! [`SnapError::ConfigDigestMismatch`]. Each embedded machine snapshot
-//! additionally self-validates against its (configuration, program) pair.
+//! [`SnapError::ConfigDigestMismatch`].
 //!
-//! Checkpointed execution is serial (one cell at a time, in the same
-//! row-major order the parallel engine merges in), and each cell is
-//! measured by the same crate-private `harness::measure` as the parallel
-//! engine — with the image writer as its checkpoint callback — so the
-//! finished [`SweepGrid`] matches the parallel engine's cell for cell.
 //! What to checkpoint is a run plan ([`Checkpointing`]) passed beside the
-//! scenario, never part of it; [`run_sweep`] falls back to the parallel
-//! engine when the plan requests no checkpointing. On success the image
-//! file is deleted.
+//! scenario, never part of it; [`run_sweep`] is the plain parallel sweep
+//! when the plan names no image.
 
-use crate::harness::{measure, Measurement};
+use crate::harness::Measurement;
 use crate::report::render_report;
 use crate::scenario::{Scenario, ScenarioError};
 use crate::sweep::SweepGrid;
-use regshare_core::{SimStats, Simulator};
-use regshare_isa::Program;
 use regshare_types::snapshot::{
     read_header, write_header, Snap, SnapError, SnapReader, SnapWriter, SNAPSHOT,
 };
-use std::num::NonZeroU64;
+use std::sync::Mutex;
 
-/// How one run of a scenario checkpoints: the CLI's `--checkpoint-every`,
-/// `--checkpoint-file` and `--resume`. The default plan does none.
+/// How one run of a scenario checkpoints: the CLI's `--checkpoint-file`
+/// and `--resume`. Naming either turns checkpointing on; the default plan
+/// does none.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Checkpointing {
-    /// Write an image every this many committed µ-ops.
-    pub every: Option<NonZeroU64>,
-    /// Where images are written; defaults to `resume`, else
-    /// [`default_checkpoint_path`].
+    /// Where the image is written; defaults to `resume`.
     pub file: Option<String>,
     /// Continue from this image, written by an earlier checkpointed run of
     /// the same scenario.
@@ -60,12 +53,11 @@ pub enum CheckpointError {
     /// The scenario itself is invalid.
     Scenario(ScenarioError),
     /// The image file is corrupt, truncated, or recorded under a
-    /// different scenario/window (or its machine snapshot under a
-    /// different configuration/program).
+    /// different scenario/window.
     Snapshot(SnapError),
     /// The image decoded cleanly but does not fit this scenario's sweep
-    /// (e.g. more completed cells than the matrix has, or a recorded cell
-    /// name that is not the workload at that position).
+    /// (a slot count other than the matrix's cell count, or a recorded
+    /// cell name that is not the workload at that position).
     Invalid(String),
     /// The resume path names a file that does not exist.
     Missing {
@@ -128,43 +120,26 @@ impl From<crate::sweep::SweepError> for CheckpointError {
 // experiments identically.
 pub use crate::digest::scenario_digest;
 
-/// The decoded image payload: measured cells in row-major order plus an
-/// optional mid-cell machine state.
-struct Image {
-    /// Checkpoint interval the writing run used (committed µ-ops).
-    interval: u64,
-    /// Finished cells, a prefix of the row-major (workload × variant)
-    /// order; `completed.len()` is the next cell index.
-    completed: Vec<(String, SimStats)>,
-    /// In-flight cell `completed.len()`: warmup-end stats (`None` while
-    /// still warming up) and the machine snapshot bytes.
-    in_progress: Option<(Option<SimStats>, Vec<u8>)>,
-}
+/// One image slot: the finished cell's workload name and stats.
+type Cell = Option<Measurement>;
 
-fn encode_image(digest: u64, image: &Image) -> Vec<u8> {
+/// The image: the header, then one [`Cell`] per sweep cell, row-major.
+fn encode_image(digest: u64, cells: &[Cell]) -> Vec<u8> {
     let mut w = SnapWriter::new();
     write_header(&mut w, SNAPSHOT, digest);
-    w.put_u64(image.interval);
-    image.completed.encode(&mut w);
-    image.in_progress.encode(&mut w);
+    w.put_len(cells.len());
+    for cell in cells {
+        cell.encode(&mut w);
+    }
     w.finish()
 }
 
-fn decode_image(bytes: &[u8], digest: u64) -> Result<Image, SnapError> {
+fn decode_image(bytes: &[u8], digest: u64) -> Result<Vec<Cell>, SnapError> {
     let mut r = SnapReader::new(bytes);
     read_header(&mut r, SNAPSHOT, digest)?;
-    let interval = r.get_u64()?;
-    if interval == 0 {
-        return Err(r.corrupt("zero checkpoint interval"));
-    }
-    let completed = Snap::decode(&mut r)?;
-    let in_progress = Snap::decode(&mut r)?;
+    let cells = Snap::decode(&mut r)?;
     r.expect_eof()?;
-    Ok(Image {
-        interval,
-        completed,
-        in_progress,
-    })
+    Ok(cells)
 }
 
 fn io_err(path: &str, e: std::io::Error) -> CheckpointError {
@@ -176,13 +151,15 @@ fn io_err(path: &str, e: std::io::Error) -> CheckpointError {
 
 /// Writes the image atomically: a sibling `.tmp` file renamed over the
 /// target, so a kill mid-write can never leave a torn checkpoint.
-fn write_image(path: &str, digest: u64, image: &Image) -> Result<(), CheckpointError> {
+fn write_image(path: &str, digest: u64, cells: &[Cell]) -> Result<(), CheckpointError> {
     let tmp = format!("{path}.tmp");
-    std::fs::write(&tmp, encode_image(digest, image)).map_err(|e| io_err(&tmp, e))?;
+    std::fs::write(&tmp, encode_image(digest, cells)).map_err(|e| io_err(&tmp, e))?;
     std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))
 }
 
-fn load_image(path: &str, digest: u64) -> Result<Image, CheckpointError> {
+/// Loads an image and checks it against the sweep's row-major cell
+/// workloads.
+fn load_image(path: &str, digest: u64, workloads: &[String]) -> Result<Vec<Cell>, CheckpointError> {
     let bytes = std::fs::read(path).map_err(|e| {
         if e.kind() == std::io::ErrorKind::NotFound {
             CheckpointError::Missing {
@@ -192,35 +169,73 @@ fn load_image(path: &str, digest: u64) -> Result<Image, CheckpointError> {
             io_err(path, e)
         }
     })?;
-    Ok(decode_image(&bytes, digest)?)
-}
-
-/// The default image path when the caller names none: `<scenario>.ckpt`
-/// in the working directory.
-pub fn default_checkpoint_path(scenario: &Scenario) -> String {
-    format!("{}.ckpt", scenario.name)
+    let cells = decode_image(&bytes, digest)?;
+    if cells.len() != workloads.len() {
+        return Err(CheckpointError::Invalid(format!(
+            "image has {} cells, sweep has {}",
+            cells.len(),
+            workloads.len()
+        )));
+    }
+    for (i, (cell, expected)) in cells.iter().zip(workloads).enumerate() {
+        if let Some(m) = cell.as_ref().filter(|m| m.name != *expected) {
+            return Err(CheckpointError::Invalid(format!(
+                "cell {i} records workload {:?}, scenario has {expected:?}",
+                m.name
+            )));
+        }
+    }
+    Ok(cells)
 }
 
 /// Runs the scenario's sweep under a checkpointing plan.
 ///
-/// - Neither `every` nor `resume` set: the plain parallel engine
+/// - Neither `file` nor `resume` set: the plain parallel engine
 ///   ([`Scenario::to_sweep`]), no files touched.
-/// - `every = n`: serial resumable execution, writing the image to `file`
-///   (default [`default_checkpoint_path`]) every `n` committed µ-ops and
-///   after every finished cell; the file is deleted on success.
-/// - `resume = path`: loads the image first and continues from it. A
-///   requested interval overrides the recorded one. Subsequent
-///   checkpoints go to `file` if given, else back to `path`.
+/// - `file = path`: the same engine, writing the image to `path` at the
+///   start and after every finished cell; the file is deleted on success.
+/// - `resume = path`: loads the image first and measures only the cells
+///   it does not hold. Images go to `file` if given, else back to `path`.
 ///
 /// # Errors
 ///
 /// Typed [`CheckpointError`]s for invalid scenarios, missing/corrupt/
-/// foreign images, and filesystem failures.
+/// foreign images, failed cells, and filesystem failures. A failed run
+/// leaves its image behind, so a resume measures only what is missing.
 pub fn run_sweep(scenario: &Scenario, plan: &Checkpointing) -> Result<SweepGrid, CheckpointError> {
-    if plan.every.is_none() && plan.resume.is_none() {
-        return Ok(scenario.to_sweep()?.run()?);
+    let spec = scenario.to_sweep()?;
+    let Some(path) = plan.file.as_deref().or(plan.resume.as_deref()) else {
+        return Ok(spec.run()?);
+    };
+    let digest = scenario_digest(scenario);
+    let workloads = spec.cell_workloads();
+    let cells = match plan.resume.as_deref() {
+        Some(resume) => load_image(resume, digest, &workloads)?,
+        None => vec![None; workloads.len()],
+    };
+    write_image(path, digest, &cells)?;
+
+    // The image as it stands, and the first failed write (reported once
+    // every cell is done).
+    let image = Mutex::new((cells.clone(), None));
+    let grid = spec.run_resumed(cells, |i, m| {
+        let mut image = image.lock().expect("image writer does not panic");
+        let (cells, failed) = &mut *image;
+        cells[i] = Some(m.clone());
+        if let Err(e) = write_image(path, digest, cells) {
+            failed.get_or_insert(e);
+        }
+    })?;
+    if let (_, Some(e)) = image.into_inner().expect("image writer does not panic") {
+        return Err(e);
     }
-    run_checkpointed(scenario, plan)
+
+    match std::fs::remove_file(path) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+        Err(e) => return Err(io_err(path, e)),
+    }
+    Ok(grid)
 }
 
 /// [`run_sweep`] plus the standard report rendering — the checkpoint-aware
@@ -230,104 +245,12 @@ pub fn run_report(scenario: &Scenario, plan: &Checkpointing) -> Result<String, C
     Ok(render_report(scenario, &grid)?)
 }
 
-fn run_checkpointed(
-    scenario: &Scenario,
-    plan: &Checkpointing,
-) -> Result<SweepGrid, CheckpointError> {
-    let (workloads, configs) = scenario.resolve()?;
-    let labels: Vec<String> = scenario.variants.iter().map(|(l, _)| l.clone()).collect();
-    let window = scenario.options.window();
-    let digest = scenario_digest(scenario);
-    let total = workloads.len() * labels.len();
-    let path = plan
-        .file
-        .clone()
-        .or_else(|| plan.resume.clone())
-        .unwrap_or_else(|| default_checkpoint_path(scenario));
-    let path = path.as_str();
-
-    let mut interval = plan.every.map(NonZeroU64::get);
-    let mut done: Vec<(String, SimStats)> = Vec::new();
-    let mut in_progress: Option<(Option<SimStats>, Vec<u8>)> = None;
-    if let Some(resume) = plan.resume.as_deref() {
-        let image = load_image(resume, digest)?;
-        interval = interval.or(Some(image.interval));
-        done = image.completed;
-        in_progress = image.in_progress;
-        if done.len() > total || (done.len() == total && in_progress.is_some()) {
-            return Err(CheckpointError::Invalid(format!(
-                "{} completed cells recorded, sweep has {total}",
-                done.len()
-            )));
-        }
-        for (i, (name, _)) in done.iter().enumerate() {
-            let expected = &workloads[i / labels.len()].name;
-            if name != expected {
-                return Err(CheckpointError::Invalid(format!(
-                    "cell {i} records workload {name:?}, scenario has {expected:?}"
-                )));
-            }
-        }
-    }
-    // A fresh run reaches here only with `every` set, and a resumed image
-    // records the (non-zero) interval it was written with.
-    let every = interval.expect("checkpointed run without an interval");
-
-    let mut programs: Vec<Option<Program>> = workloads.iter().map(|_| None).collect();
-
-    while done.len() < total {
-        let i = done.len();
-        let (w, v) = (i / labels.len(), i % labels.len());
-        let program = &*programs[w].get_or_insert_with(|| workloads[w].build());
-        let cfg = configs[v].clone();
-
-        let (mut sim, warm) = match in_progress.take() {
-            Some((warm, machine)) => (Simulator::resume_from(program, cfg, &machine)?, warm),
-            None => (Simulator::new(program, cfg), None),
-        };
-        let stats = measure(&mut sim, warm, window, every, |s, warm| {
-            let _ = write_image(
-                path,
-                digest,
-                &Image {
-                    interval: every,
-                    completed: done.clone(),
-                    in_progress: Some((warm, s.save_snapshot())),
-                },
-            );
-        });
-        done.push((workloads[w].name.clone(), stats));
-
-        // A cell boundary is always durable, even with a huge interval.
-        write_image(
-            path,
-            digest,
-            &Image {
-                interval: every,
-                completed: done.clone(),
-                in_progress: None,
-            },
-        )?;
-    }
-
-    match std::fs::remove_file(path) {
-        Ok(()) => {}
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(io_err(path, e)),
-    }
-
-    let cells = done
-        .into_iter()
-        .map(|(name, stats)| Measurement { name, stats })
-        .collect();
-    Ok(SweepGrid::from_parts(workloads, labels, cells)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::RunOptions;
     use crate::scenario::VariantSpec;
+    use regshare_core::{SimStats, Simulator};
 
     fn tiny(name: &str) -> Scenario {
         Scenario::builder(name)
@@ -368,16 +291,18 @@ mod tests {
         }
     }
 
+    /// The row-major image slot of the reference grid's cell `i`.
+    fn cell(grid: &SweepGrid, i: usize) -> Cell {
+        Some(grid.get(i / 2, &grid.labels()[i % 2]).unwrap().clone())
+    }
+
     #[test]
     fn checkpointed_run_matches_the_parallel_engine_and_cleans_up() {
         let plain = tiny("ckpt_eq");
         let reference = plain.to_sweep().unwrap().run().unwrap();
 
-        // A short interval fires the writer many times per cell; the
-        // observational hook must not perturb a single statistic.
         let path = tmp_path("eq");
         let plan = Checkpointing {
-            every: NonZeroU64::new(100),
             file: Some(path.clone()),
             resume: None,
         };
@@ -395,62 +320,79 @@ mod tests {
     }
 
     #[test]
-    fn resume_mid_cell_reproduces_the_uninterrupted_grid() {
+    fn resume_reproduces_the_uninterrupted_grid() {
         let plain = tiny("ckpt_resume");
         let reference = plain.to_sweep().unwrap().run().unwrap();
         let digest = scenario_digest(&plain);
         let window = plain.options.window();
+        let path = tmp_path("resume");
+        let resumes_to_reference = |scenario: &Scenario, cells: &[Cell]| {
+            write_image(&path, digest, cells).unwrap();
+            let grid = run_sweep(scenario, &resume(&path)).unwrap();
+            assert_same_grid(&grid, &reference);
+            assert!(!std::path::Path::new(&path).exists());
+        };
 
-        // Hand-craft the image a killed run would have left behind:
-        // cell 0 finished, cell 1 (crafty/both) killed mid-measure.
+        // Cell 0 (crafty/base) measured by hand, as two relative runs.
         let program = regshare_workloads::try_by_names(&["crafty".to_string()]).unwrap()[0].build();
         let base_cfg = plain.variants[0].1.to_config().unwrap();
-        let both_cfg = plain.variants[1].1.to_config().unwrap();
-
-        let mut sim = Simulator::new(&program, base_cfg.clone());
+        let mut sim = Simulator::new(&program, base_cfg);
         let warm = sim.run(window.warmup);
         let end = sim.run(window.measure);
-        let cell0 = ("crafty".to_string(), end.delta_since(&warm));
+        let cell0 = Some(Measurement {
+            name: "crafty".to_string(),
+            stats: end.delta_since(&warm),
+        });
 
-        let mut sim = Simulator::new(&program, both_cfg);
-        let warm1 = sim.run(window.warmup);
-        sim.run(700); // mid-measure
-        let image = Image {
-            interval: 250,
-            completed: vec![cell0],
-            in_progress: Some((Some(warm1), sim.save_snapshot())),
+        // Killed before any cell finished: the image written at start.
+        resumes_to_reference(&plain, &[None, None, None, None]);
+        // Cells 0 and 3 done, as out-of-order workers leave it.
+        resumes_to_reference(&plain, &[cell0.clone(), None, None, cell(&reference, 3)]);
+        // Resumed at another worker count than the writer's.
+        let mut serial = plain.clone();
+        serial.options.jobs = Some(1);
+        resumes_to_reference(&serial, &[cell0, cell(&reference, 1), None, None]);
+
+        // Recorded cells are taken as they are, never re-measured.
+        let sentinel = SimStats {
+            cycles: 7,
+            ..SimStats::default()
         };
-        let path = tmp_path("resume");
-        write_image(&path, digest, &image).unwrap();
-
+        let mut cells = vec![None; 4];
+        cells[2] = Some(Measurement {
+            name: "hmmer".to_string(),
+            stats: sentinel,
+        });
+        write_image(&path, digest, &cells).unwrap();
         let grid = run_sweep(&plain, &resume(&path)).unwrap();
-        assert_same_grid(&grid, &reference);
-        assert!(!std::path::Path::new(&path).exists());
+        assert_eq!(grid.get(1, "base").unwrap().stats, sentinel);
+        assert_eq!(
+            grid.get(1, "both").unwrap().stats,
+            reference.get(1, "both").unwrap().stats
+        );
+    }
 
-        // Killed mid-warmup of cell 0: no warmup-end stats recorded yet.
-        let mut sim = Simulator::new(&program, base_cfg);
-        sim.run(window.warmup / 2);
-        let image = Image {
-            interval: 250,
-            completed: Vec::new(),
-            in_progress: Some((None, sim.save_snapshot())),
-        };
-        write_image(&path, digest, &image).unwrap();
-
-        let grid = run_sweep(&plain, &resume(&path)).unwrap();
-        assert_same_grid(&grid, &reference);
-        assert!(!std::path::Path::new(&path).exists());
+    #[test]
+    fn image_layout_is_pinned() {
+        let bytes = encode_image(0x0102_0304_0506_0708, &[None]);
+        // Header: magic, version 3 as u32 LE, digest as u64 LE; then the
+        // slot count as u64 LE and one empty-slot tag.
+        assert_eq!(
+            bytes[..16],
+            *b"RGSH\x03\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01"
+        );
+        assert_eq!(bytes[16..], [1, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert!(matches!(
+            decode_image(&bytes, 0x0102_0304_0506_0708).as_deref(),
+            Ok([None])
+        ));
     }
 
     #[test]
     fn foreign_or_broken_images_fail_with_typed_errors() {
         let s = tiny("ckpt_err");
         let digest = scenario_digest(&s);
-        let empty = Image {
-            interval: 100,
-            completed: Vec::new(),
-            in_progress: None,
-        };
+        let empty: Vec<Cell> = vec![None; 4];
 
         // Missing file.
         assert!(matches!(
@@ -474,32 +416,33 @@ mod tests {
         replumbed.options.jobs = Some(7);
         assert_eq!(scenario_digest(&replumbed), digest);
 
-        // Truncated image → typed decode error.
-        let bytes = encode_image(digest, &empty);
-        for cut in [3, bytes.len() / 2, bytes.len() - 1] {
-            assert!(decode_image(&bytes[..cut], digest).is_err(), "cut {cut}");
+        // An image the previous format version wrote is refused by version.
+        let mut old = encode_image(digest, &empty);
+        old[4..8].copy_from_slice(&2u32.to_le_bytes());
+        std::fs::write(&path, old).unwrap();
+        assert_eq!(
+            run_sweep(&s, &resumed).unwrap_err(),
+            CheckpointError::Snapshot(SnapError::BadVersion {
+                found: 2,
+                supported: 3
+            })
+        );
+
+        // More or fewer slots than the sweep has cells.
+        for n in [3, 5] {
+            write_image(&path, digest, &vec![None; n]).unwrap();
+            assert!(matches!(
+                run_sweep(&s, &resumed).unwrap_err(),
+                CheckpointError::Invalid(_)
+            ));
         }
 
-        // More completed cells than the sweep has.
-        let fat = Image {
-            interval: 100,
-            completed: (0..5)
-                .map(|_| ("crafty".to_string(), SimStats::default()))
-                .collect(),
-            in_progress: None,
-        };
-        write_image(&path, digest, &fat).unwrap();
-        assert!(matches!(
-            run_sweep(&s, &resumed).unwrap_err(),
-            CheckpointError::Invalid(_)
-        ));
-
         // A recorded cell naming the wrong workload.
-        let misnamed = Image {
-            interval: 100,
-            completed: vec![("hmmer".to_string(), SimStats::default())],
-            in_progress: None,
-        };
+        let mut misnamed = empty.clone();
+        misnamed[1] = Some(Measurement {
+            name: "hmmer".to_string(),
+            stats: SimStats::default(),
+        });
         write_image(&path, digest, &misnamed).unwrap();
         assert!(matches!(
             run_sweep(&s, &resumed).unwrap_err(),

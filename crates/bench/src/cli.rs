@@ -8,8 +8,7 @@
 //! --warmup <uops>     override the warmup window
 //! --measure <uops>    override the measured window
 //! --jobs <n>          override the sweep worker count
-//! --checkpoint-every <uops>  write a resumable checkpoint every N µ-ops
-//! --checkpoint-file <path>   where to write it (default <scenario>.ckpt)
+//! --checkpoint-file <path>  record each finished cell in a resumable image
 //! --resume <file>     continue a checkpointed run from its image
 //! --list-presets      list the built-in scenarios and exit
 //! --list-workloads    list the workload registry and exit
@@ -17,13 +16,13 @@
 //! ```
 //!
 //! Flag > scenario file > default, in that order (see [`crate::options`]).
-//! The three checkpoint flags fill a [`Checkpointing`] run plan that is
-//! passed beside the scenario, never folded into it.
+//! The two checkpoint flags fill a [`Checkpointing`] run plan that is
+//! passed beside the scenario, never folded into it; giving either turns
+//! checkpointing on.
 
 use crate::checkpoint::Checkpointing;
 use crate::options::RunOptions;
 use crate::scenario::{preset, Scenario, ScenarioError, SCENARIO_PRESETS};
-use std::num::NonZeroU64;
 
 /// Parsed command line for a scenario-driven binary.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -34,8 +33,7 @@ pub struct CliArgs {
     pub preset: Option<String>,
     /// `--warmup` / `--measure` / `--jobs` overrides.
     pub overrides: RunOptions,
-    /// `--checkpoint-every <uops>`, `--checkpoint-file <path>` and
-    /// `--resume <file>`.
+    /// `--checkpoint-file <path>` and `--resume <file>`.
     pub checkpointing: Checkpointing,
     /// `--list-presets`.
     pub list_presets: bool,
@@ -82,15 +80,6 @@ impl CliArgs {
                         .overrides
                         .try_jobs(n)
                         .map_err(|e| format!("--jobs: {e}"))?;
-                }
-                "--checkpoint-every" => {
-                    let v = value(&mut i)?;
-                    let n: u64 = v
-                        .parse()
-                        .map_err(|_| format!("bad --checkpoint-every value {v:?}"))?;
-                    let n = NonZeroU64::new(n)
-                        .ok_or_else(|| "--checkpoint-every must be at least 1".to_string())?;
-                    out.checkpointing.every = Some(n);
                 }
                 "--checkpoint-file" => out.checkpointing.file = Some(value(&mut i)?),
                 "--resume" => out.checkpointing.resume = Some(value(&mut i)?),
@@ -155,8 +144,8 @@ pub fn usage(bin: &str, default_preset: &str) -> String {
     format!(
         "usage: {bin} [--scenario <file> | --preset <name>] \
          [--warmup <uops>] [--measure <uops>] [--jobs <n>] \
-         [--checkpoint-every <uops>] [--checkpoint-file <path>] \
-         [--resume <file>] [--list-presets] [--list-workloads]\n\
+         [--checkpoint-file <path>] [--resume <file>] \
+         [--list-presets] [--list-workloads]\n\
          default: --preset {default_preset}"
     )
 }
@@ -230,27 +219,17 @@ mod tests {
         assert!(parse(&["--warmup"]).is_err());
         assert!(parse(&["--warmup", "lots"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--checkpoint-every", "0"]).is_err());
-        assert!(parse(&["--checkpoint-every", "soon"]).is_err());
+        assert!(parse(&["--checkpoint-file"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--scenario", "a", "--preset", "b"]).is_err());
     }
 
     #[test]
     fn checkpoint_flags_fill_the_run_plan() {
-        let a = parse(&[
-            "--preset",
-            "smoke",
-            "--checkpoint-every",
-            "5000",
-            "--checkpoint-file",
-            "out.ckpt",
-        ])
-        .unwrap();
+        let a = parse(&["--preset", "smoke", "--checkpoint-file", "out.ckpt"]).unwrap();
         assert_eq!(
             a.checkpointing,
             Checkpointing {
-                every: NonZeroU64::new(5000),
                 file: Some("out.ckpt".into()),
                 resume: None,
             }

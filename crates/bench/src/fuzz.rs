@@ -12,6 +12,9 @@
 //!   must never have freed a physical register with live consumers, which
 //!   is the paper's core safety claim.
 //!
+//! A simulator panic (an internal assert, or `Simulator::run`'s deadlock
+//! check) is caught per preset and counts as a divergence too.
+//!
 //! A divergence is minimized by a **greedy shrinker** over the generated
 //! plan: blocks are removed one at a time and trip counts capped while the
 //! failure persists. Because each block's code is emitted from its own
@@ -25,9 +28,12 @@
 
 use crate::options::RunOptions;
 use crate::scenario::{VariantSpec, CONFIG_PRESETS};
+use crate::sweep::panic_detail;
 use regshare_core::{CoreConfig, Simulator};
 use regshare_isa::interp::Machine;
+use regshare_isa::Program;
 use regshare_workloads::fuzz::{FuzzPlan, FuzzSpec, ShrinkSpec};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// The preset used for deterministic fault injection (the most aggressive
@@ -53,11 +59,9 @@ pub fn tracker_presets() -> Vec<(&'static str, CoreConfig)> {
 /// How one preset diverged from the oracle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DivergenceKind {
-    /// The simulator committed fewer µ-ops than asked (a deadlock).
-    ShortRun {
-        /// µ-ops actually committed.
-        committed: u64,
-    },
+    /// The simulator panicked (an internal assert, or a deadlock); the
+    /// payload is the rendered panic message.
+    Panicked(String),
     /// The committed trace differs from the in-order trace.
     DigestMismatch {
         /// Oracle digest.
@@ -81,12 +85,8 @@ pub struct Divergence {
 impl std::fmt::Display for Divergence {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.kind {
-            DivergenceKind::ShortRun { committed } => {
-                write!(
-                    f,
-                    "preset {}: short run ({committed} committed)",
-                    self.preset
-                )
+            DivergenceKind::Panicked(detail) => {
+                write!(f, "preset {}: simulator panicked: {detail}", self.preset)
             }
             DivergenceKind::DigestMismatch { expected, got } => write!(
                 f,
@@ -131,35 +131,42 @@ impl Default for FuzzOptions {
 pub fn check_plan(plan: &FuzzPlan, opts: &FuzzOptions) -> Option<Divergence> {
     let program = plan.build();
     let expected = Machine::new(Arc::new(program.clone())).run_digest(opts.uops);
-    for (preset, cfg) in tracker_presets() {
-        let mut sim = Simulator::new(&program, cfg);
-        let stats = sim.run(opts.uops);
-        if stats.committed != opts.uops {
-            return Some(Divergence {
-                preset: preset.to_string(),
-                kind: DivergenceKind::ShortRun {
-                    committed: stats.committed,
-                },
-            });
-        }
+    tracker_presets()
+        .into_iter()
+        .find_map(|(preset, cfg)| check_preset(&program, expected, preset, cfg, opts))
+}
+
+/// Runs `program` under one preset and checks it against the oracle
+/// digest `expected`. A panic inside the simulator is caught and reported
+/// as [`DivergenceKind::Panicked`], so it is shrunk and reproduced like
+/// any other divergence instead of killing the whole run.
+fn check_preset(
+    program: &Program,
+    expected: u64,
+    preset: &str,
+    cfg: CoreConfig,
+    opts: &FuzzOptions,
+) -> Option<Divergence> {
+    // Nothing outlives the closure but its result, so a panic cannot leave
+    // shared state half-updated.
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        let mut sim = Simulator::new(program, cfg);
+        sim.run(opts.uops);
         let mut got = sim.arch_digest();
         if opts.inject_fault && preset == INJECT_PRESET {
             got ^= 1;
         }
         if got != expected {
-            return Some(Divergence {
-                preset: preset.to_string(),
-                kind: DivergenceKind::DigestMismatch { expected, got },
-            });
+            return Some(DivergenceKind::DigestMismatch { expected, got });
         }
-        if let Err(msg) = sim.audit_registers() {
-            return Some(Divergence {
-                preset: preset.to_string(),
-                kind: DivergenceKind::AuditFailed(msg),
-            });
-        }
-    }
-    None
+        sim.audit_registers().err().map(DivergenceKind::AuditFailed)
+    }));
+    let kind =
+        checked.unwrap_or_else(|payload| Some(DivergenceKind::Panicked(panic_detail(payload))))?;
+    Some(Divergence {
+        preset: preset.to_string(),
+        kind,
+    })
 }
 
 /// Differentially checks one spec with an optional shrink applied.
@@ -420,6 +427,23 @@ mod tests {
         let d = check_plan(&spec.plan(), &inject).expect("injected fault diverges");
         assert_eq!(d.preset, INJECT_PRESET);
         assert!(matches!(d.kind, DivergenceKind::DigestMismatch { .. }));
+    }
+
+    #[test]
+    fn a_simulator_panic_is_a_divergence_not_an_abort() {
+        let program = FuzzSpec::new("balanced", 5).unwrap().plan().build();
+        // A PRF smaller than the architectural register file trips
+        // rename's internal assert (no preset can produce this config).
+        let mut cfg = VariantSpec::hpca16().to_config().unwrap();
+        cfg.pregs_per_class = 1;
+        let d = check_preset(&program, 0, "tiny_prf", cfg, &quick_opts())
+            .expect("a panic is reported as a divergence");
+        assert_eq!(d.preset, "tiny_prf");
+        match &d.kind {
+            DivergenceKind::Panicked(detail) => assert!(!detail.is_empty()),
+            other => panic!("unexpected {other:?}"),
+        }
+        assert!(d.to_string().contains("simulator panicked"), "{d}");
     }
 
     #[test]

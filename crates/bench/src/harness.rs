@@ -1,11 +1,9 @@
 //! Run windows and the one measurement protocol shared by all experiments.
 //!
-//! Every measured cell — the parallel sweep engine, the resumable
-//! checkpointed sweep and the serve daemon — goes through one
-//! crate-private `measure`: run to the warmup target, run on to the
-//! warmup + measure target, and subtract the warmup-end stats.
-//! [`measure_program`] is that protocol on a fresh machine with no
-//! checkpoints.
+//! Every measured cell — the parallel sweep engine (and so the
+//! checkpointed sweep, which drives it) and the serve daemon — goes
+//! through [`measure_program`]: a fresh machine runs the warmup, runs the
+//! measured window, and subtracts the warmup-end stats.
 
 use regshare_core::{CoreConfig, SimStats, Simulator};
 use regshare_isa::Program;
@@ -42,6 +40,9 @@ pub struct Measurement {
     pub stats: SimStats,
 }
 
+// Checkpoint images record finished cells in this encoding.
+regshare_types::impl_snap!(Measurement { name, stats });
+
 impl Measurement {
     /// IPC over the measured window.
     pub fn ipc(&self) -> f64 {
@@ -59,35 +60,10 @@ pub fn measure_program(
     window: RunWindow,
 ) -> Measurement {
     let mut sim = Simulator::new(program, cfg);
+    let warm = sim.run(window.warmup);
+    let end = sim.run(window.measure);
     Measurement {
         name: name.into(),
-        stats: measure(&mut sim, None, window, 0, |_, _| {}),
+        stats: end.delta_since(&warm),
     }
-}
-
-/// The one warmup → measure → delta protocol every cell runner uses.
-///
-/// Both phases end at absolute committed-µ-op targets (`window.warmup`,
-/// then `window.warmup + window.measure`), so a machine resumed from a
-/// snapshot partway through either phase finishes exactly where an
-/// uninterrupted run does. `warm` holds the warmup-end stats of a cell
-/// resumed mid-measure; the warmup phase is then skipped.
-///
-/// `on_checkpoint` observes the paused machine every `every` committed
-/// µ-ops (never when `every == 0`), together with the warmup-end stats
-/// once warmup is over.
-pub(crate) fn measure(
-    sim: &mut Simulator,
-    warm: Option<SimStats>,
-    window: RunWindow,
-    every: u64,
-    mut on_checkpoint: impl FnMut(&Simulator, Option<SimStats>),
-) -> SimStats {
-    let warm = warm.unwrap_or_else(|| {
-        let left = window.warmup - sim.stats().committed;
-        sim.run_with_checkpoints(left, every, |s| on_checkpoint(s, None))
-    });
-    let left = window.warmup + window.measure - sim.stats().committed;
-    let end = sim.run_with_checkpoints(left, every, |s| on_checkpoint(s, Some(warm)));
-    end.delta_since(&warm)
 }

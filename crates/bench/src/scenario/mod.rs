@@ -802,9 +802,9 @@ impl Scenario {
     }
 
     /// The one resolution pass behind [`Scenario::validate`],
-    /// [`Scenario::to_sweep`], the checkpointed sweep and the serve daemon:
-    /// checks every name and option, and returns the workloads and the
-    /// per-variant configurations, so no caller resolves twice.
+    /// [`Scenario::to_sweep`] (and so the checkpointed sweep) and the serve
+    /// daemon: checks every name and option, and returns the workloads and
+    /// the per-variant configurations, so no caller resolves twice.
     pub fn resolve(&self) -> Result<(Vec<Workload>, Vec<CoreConfig>), ScenarioError> {
         check_name("scenario", &self.name)?;
         if !valid_note(&self.note) {

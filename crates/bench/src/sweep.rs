@@ -163,6 +163,16 @@ impl SweepSpec {
         self
     }
 
+    /// The workload name of every cell, in row-major order
+    /// (`w * variants + v`).
+    pub(crate) fn cell_workloads(&self) -> Vec<String> {
+        let n = self.variants.len();
+        self.workloads
+            .iter()
+            .flat_map(|w| std::iter::repeat_n(w.name.clone(), n))
+            .collect()
+    }
+
     /// The worker count this spec will run with.
     pub fn job_count(&self) -> usize {
         self.jobs
@@ -182,6 +192,20 @@ impl SweepSpec {
     /// Panics if the spec has no variants (an API-misuse bug in the
     /// caller; every scenario front door rejects it long before here).
     pub fn run(self) -> Result<SweepGrid, SweepError> {
+        let cells = vec![None; self.workloads.len() * self.variants.len()];
+        self.run_resumed(cells, |_, _| {})
+    }
+
+    /// [`SweepSpec::run`] over only the cells `cells` does not already
+    /// hold (row-major, `cells[w * variants + v]`), handing each newly
+    /// measured cell to `on_cell` with its index as soon as it finishes —
+    /// the hook behind resumable checkpointed sweeps. Workloads whose
+    /// cells are all recorded are never built.
+    pub(crate) fn run_resumed(
+        self,
+        mut cells: Vec<Option<Measurement>>,
+        on_cell: impl Fn(usize, &Measurement) + Sync,
+    ) -> Result<SweepGrid, SweepError> {
         assert!(
             !self.variants.is_empty(),
             "sweep spec needs at least one variant"
@@ -191,14 +215,16 @@ impl SweepSpec {
         // worker gets there first, shared read-only by all variants.
         let programs: Vec<OnceLock<Program>> =
             self.workloads.iter().map(|_| OnceLock::new()).collect();
-        let cells = par_map(self.workloads.len() * n_variants, self.job_count(), |i| {
+        let todo: Vec<usize> = (0..cells.len()).filter(|&i| cells[i].is_none()).collect();
+        let measured = par_map(todo.len(), self.job_count(), |k| {
+            let i = todo[k];
             let (workload, variant) = (
                 &self.workloads[i / n_variants],
                 &self.variants[i % n_variants],
             );
             // The only shared state is the program cache; a panicked
             // job leaves it usable, so AssertUnwindSafe holds.
-            catch_unwind(AssertUnwindSafe(|| {
+            let cell = catch_unwind(AssertUnwindSafe(|| {
                 let program = programs[i / n_variants].get_or_init(|| workload.build());
                 measure_program(
                     workload.name.as_str(),
@@ -211,10 +237,18 @@ impl SweepSpec {
                 workload: workload.name.clone(),
                 label: variant.label.clone(),
                 detail: panic_detail(payload),
-            })
+            })?;
+            on_cell(i, &cell);
+            Ok(cell)
         });
+        for (i, cell) in todo.into_iter().zip(measured) {
+            cells[i] = Some(cell?);
+        }
         Ok(SweepGrid {
-            cells: cells.into_iter().collect::<Result<_, _>>()?,
+            cells: cells
+                .into_iter()
+                .map(|c| c.expect("every cell measured"))
+                .collect(),
             workloads: self.workloads,
             labels: self.variants.into_iter().map(|v| v.label).collect(),
         })
@@ -267,9 +301,9 @@ pub struct SweepGrid {
 
 impl SweepGrid {
     /// Assembles a grid from already-measured cells in row-major order
-    /// (`cells[w * labels.len() + v]`) — the merge path for runners that
-    /// obtain cells outside the parallel engine: the checkpointed serial
-    /// runner and the serve daemon's cache-aware scheduler.
+    /// (`cells[w * labels.len() + v]`) — the merge path for cells obtained
+    /// outside the parallel engine: the serve daemon's cache-aware
+    /// scheduler.
     ///
     /// Rejects a cell count that does not match `workloads × labels` with
     /// [`SweepError::Shape`] instead of asserting, so the daemon's merge
@@ -471,6 +505,35 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn run_resumed_measures_only_missing_cells_and_hands_each_back() {
+        let spec = || {
+            SweepSpec::new(vec![mini()], tiny_window())
+                .variant("base", CoreConfig::hpca16())
+                .variant("both", CoreConfig::hpca16().with_me().with_smb())
+                .jobs(2)
+        };
+        let reference = spec().run().unwrap();
+        let recorded = Measurement {
+            name: "mini".into(),
+            stats: regshare_core::SimStats {
+                cycles: 7,
+                ..Default::default()
+            },
+        };
+        let handed_back = Mutex::new(Vec::new());
+        let grid = spec()
+            .run_resumed(vec![Some(recorded.clone()), None], |i, m| {
+                handed_back.lock().unwrap().push((i, m.stats));
+            })
+            .unwrap();
+        let both = reference.get(0, "both").unwrap().stats;
+        assert_eq!(handed_back.into_inner().unwrap(), vec![(1, both)]);
+        assert_eq!(grid.get(0, "base").unwrap().stats, recorded.stats);
+        assert_eq!(grid.get(0, "both").unwrap().stats, both);
+        assert_eq!(spec().cell_workloads(), ["mini", "mini"]);
     }
 
     #[test]

@@ -54,22 +54,6 @@ pub struct LqEntry {
     pub bypassed_ok: bool,
 }
 
-regshare_types::impl_snap!(SqEntry {
-    seq,
-    rob_slot,
-    mem,
-    executed
-});
-
-regshare_types::impl_snap!(LqEntry {
-    seq,
-    rob_slot,
-    mem,
-    read_started,
-    fwd_from,
-    bypassed_ok
-});
-
 /// The store queue.
 #[derive(Debug)]
 pub struct StoreQueue {
@@ -157,27 +141,6 @@ impl StoreQueue {
             .iter()
             .flatten()
             .any(|s| s.seq == seq && !s.executed)
-    }
-
-    /// Serializes the queue for checkpointing.
-    pub fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.entries.encode(w);
-    }
-
-    /// Restores state saved by [`StoreQueue::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let entries: Vec<Option<SqEntry>> = Snap::decode(r)?;
-        if entries.len() != self.entries.len() {
-            return Err(r.corrupt("StoreQueue capacity"));
-        }
-        self.count = entries.iter().filter(|e| e.is_some()).count();
-        self.entries = entries;
-        Ok(())
     }
 
     /// Decides the [`LoadAction`] for a load at `load_seq` accessing `mem`.
@@ -285,27 +248,6 @@ impl LoadQueue {
     pub fn clear(&mut self) {
         self.entries.iter_mut().for_each(|e| *e = None);
         self.count = 0;
-    }
-
-    /// Serializes the queue for checkpointing.
-    pub fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.entries.encode(w);
-    }
-
-    /// Restores state saved by [`LoadQueue::save_state`].
-    pub fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let entries: Vec<Option<LqEntry>> = Snap::decode(r)?;
-        if entries.len() != self.entries.len() {
-            return Err(r.corrupt("LoadQueue capacity"));
-        }
-        self.count = entries.iter().filter(|e| e.is_some()).count();
-        self.entries = entries;
-        Ok(())
     }
 
     /// Memory-order violation check at a store's address computation:

@@ -58,8 +58,6 @@ impl RenameMap {
     }
 }
 
-regshare_types::impl_snap!(RenameMap { map, shared_flag });
-
 /// A checkpointable circular free list for one register class (§4.1).
 ///
 /// Pops advance the speculative head; pushes advance the tail (pushes are
@@ -168,38 +166,6 @@ impl FreeList {
     /// Registers currently in the free list (for audits).
     pub fn iter_free(&self) -> impl Iterator<Item = PhysReg> + '_ {
         (self.head..self.tail).map(move |i| self.ring[(i % self.capacity as u64) as usize])
-    }
-}
-
-impl regshare_types::snapshot::Snapshot for FreeList {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.ring.encode(w);
-        w.put_u64(self.head);
-        w.put_u64(self.committed_head);
-        w.put_u64(self.tail);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let ring: Vec<PhysReg> = Snap::decode(r)?;
-        if ring.len() != self.ring.len() {
-            return Err(r.corrupt("FreeList ring size"));
-        }
-        let head = r.get_u64()?;
-        let committed_head = r.get_u64()?;
-        let tail = r.get_u64()?;
-        if committed_head > head || head > tail {
-            return Err(r.corrupt("FreeList pointer order"));
-        }
-        self.ring = ring;
-        self.head = head;
-        self.committed_head = committed_head;
-        self.tail = tail;
-        Ok(())
     }
 }
 

@@ -204,77 +204,6 @@ pub struct RobEntry {
     pub tage_pred: Option<Box<TagePrediction>>,
 }
 
-impl regshare_types::snapshot::Snap for TrapKind {
-    fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        w.put_u8(match self {
-            TrapKind::MemOrder => 0,
-            TrapKind::BypassMispredict => 1,
-        });
-    }
-    fn decode(
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<Self, regshare_types::snapshot::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(TrapKind::MemOrder),
-            1 => Ok(TrapKind::BypassMispredict),
-            _ => Err(r.corrupt("TrapKind tag")),
-        }
-    }
-}
-
-regshare_types::impl_snap!(DstInfo {
-    arch,
-    new_preg,
-    old_preg,
-    fresh_alloc,
-    needs_cam
-});
-
-regshare_types::impl_snap!(BypassInfo {
-    preg,
-    class,
-    correct,
-    from_committed
-});
-
-regshare_types::impl_snap!(BranchInfo {
-    kind,
-    pred_next,
-    actual_next,
-    taken,
-    pred_taken,
-    mispredicted,
-    ckpt
-});
-
-regshare_types::impl_snap!(RobHot {
-    seq,
-    uid,
-    kind,
-    wrong_path,
-    completed,
-    committed,
-    eliminated,
-    agu_done,
-    read_scheduled,
-    trap
-});
-
-regshare_types::impl_snap!(RobCold {
-    pc,
-    sidx,
-    dst,
-    share,
-    bypass,
-    mem,
-    lq,
-    sq,
-    store_data,
-    branch,
-    history,
-    result
-});
-
 /// The reorder buffer. See the module docs for the pointer discipline and
 /// the structure-of-arrays storage layout.
 #[derive(Debug)]
@@ -500,65 +429,6 @@ impl Rob {
             .zip(self.hot.iter().zip(self.cold.iter()))
             .filter(|(p, _)| **p)
             .map(|(_, pair)| pair)
-    }
-}
-
-impl regshare_types::snapshot::Snapshot for Rob {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        // Slot-major, present entries only: vacant lanes hold stale data
-        // that must never leak into (or differ across) snapshots.
-        w.put_len(self.capacity);
-        for slot in 0..self.capacity {
-            if self.present[slot] {
-                w.put_u8(1);
-                self.hot[slot].encode(w);
-                self.cold[slot].encode(w);
-                self.tage[slot].encode(w);
-            } else {
-                w.put_u8(0);
-            }
-        }
-        w.put_u64(self.release_seq);
-        w.put_u64(self.head_seq);
-        w.put_u64(self.tail_seq);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        if r.get_len()? != self.capacity {
-            return Err(r.corrupt("Rob capacity"));
-        }
-        for slot in 0..self.capacity {
-            match r.get_u8()? {
-                0 => {
-                    self.present[slot] = false;
-                    self.hot[slot] = RobHot::vacant();
-                    self.cold[slot] = RobCold::vacant();
-                    self.tage[slot] = None;
-                }
-                1 => {
-                    self.present[slot] = true;
-                    self.hot[slot] = Snap::decode(r)?;
-                    self.cold[slot] = Snap::decode(r)?;
-                    self.tage[slot] = Snap::decode(r)?;
-                }
-                _ => return Err(r.corrupt("Rob slot tag")),
-            }
-        }
-        let release_seq = r.get_u64()?;
-        let head_seq = r.get_u64()?;
-        let tail_seq = r.get_u64()?;
-        if release_seq > head_seq || head_seq > tail_seq {
-            return Err(r.corrupt("Rob pointer order"));
-        }
-        self.release_seq = release_seq;
-        self.head_seq = head_seq;
-        self.tail_seq = tail_seq;
-        Ok(())
     }
 }
 

@@ -19,10 +19,7 @@ use regshare_mem::{MemResult, MemorySystem};
 use regshare_predictors::tage::{TageHistory, TagePrediction};
 use regshare_predictors::{Btb, ReturnAddressStack, StoreSets, Tage};
 use regshare_refcount::{ReclaimDecision, ReclaimRequest, ShareKind, ShareRequest, SharingTracker};
-use regshare_types::hasher::{mix64, FastHasher, FastMap};
-use regshare_types::snapshot::{
-    read_header, write_header, Snap, SnapError, SnapReader, SnapWriter, Snapshot, SNAPSHOT,
-};
+use regshare_types::hasher::{mix64, FastMap};
 use regshare_types::{
     Addr, Cycle, HistorySnapshot, PhysReg, RegClass, SeqNum, ARCH_REGS_PER_CLASS,
 };
@@ -136,7 +133,7 @@ struct PredInfo {
 }
 
 /// The simulator. Construct with [`Simulator::new`], drive with
-/// [`Simulator::run`] or [`Simulator::run_cycles`], read [`Simulator::stats`].
+/// [`Simulator::run`] or [`Simulator::step`], read [`Simulator::stats`].
 pub struct Simulator {
     cfg: CoreConfig,
     program: Arc<Program>,
@@ -170,8 +167,7 @@ pub struct Simulator {
     /// source with no scheduled wakeup yet; it is registered in `waiters`
     /// for that source and re-evaluated when the source gets a finite
     /// ready cycle. The per-cycle scan reads this one word per entry and
-    /// only touches the entry itself once the hint expires. Transient
-    /// (rebuilt on snapshot load), never part of saved state.
+    /// only touches the entry itself once the hint expires.
     iq_wait: Vec<u64>,
     /// Per flat-scoreboard-index lists of IQ entry seqs parked on that
     /// source (see `iq_wait`). Entries are self-validating at wake time
@@ -356,7 +352,7 @@ impl Simulator {
 
     /// Correct-path µ-ops the front end decoded live (not served by the
     /// stream cache). Zero for a run fully covered by a cached stream.
-    /// Deliberately not part of [`SimStats`] or any snapshot: cache warmth
+    /// Deliberately not part of [`SimStats`]: cache warmth
     /// is invisible to the simulated architecture.
     pub fn frontend_decodes(&self) -> u64 {
         self.stream.oracle_decodes()
@@ -370,40 +366,10 @@ impl Simulator {
     /// Panics if the pipeline deadlocks (no commit for a very long time) —
     /// that is a simulator bug, caught loudly.
     pub fn run(&mut self, uops: u64) -> SimStats {
-        self.run_with_checkpoints(uops, 0, |_| {})
-    }
-
-    /// Like [`Simulator::run`], but invokes `checkpoint` each time another
-    /// `every` µ-ops have committed (and the budget is not yet exhausted),
-    /// with the simulator paused at a cycle boundary. `every == 0` never
-    /// fires, making this exactly `run`.
-    ///
-    /// The callback observes the machine (typically via
-    /// [`Simulator::save_snapshot`]) but cannot mutate it, so a
-    /// checkpointed run is byte-identical to an uninterrupted one: the
-    /// commit budget is an absolute committed-count target, and a later
-    /// `resume_from` + `run(target - committed)` reconstructs the same
-    /// target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pipeline deadlocks (no commit for a very long time) —
-    /// that is a simulator bug, caught loudly.
-    pub fn run_with_checkpoints(
-        &mut self,
-        uops: u64,
-        every: u64,
-        mut checkpoint: impl FnMut(&Simulator),
-    ) -> SimStats {
         let target = self.stats.committed + uops;
         self.commit_budget = Some(target);
         let mut last_commit_cycle = self.now;
         let mut last_committed = self.stats.committed;
-        let mut mark = if every == 0 {
-            u64::MAX
-        } else {
-            self.stats.committed.saturating_add(every)
-        };
         while self.stats.committed < target {
             self.step();
             if self.stats.committed != last_committed {
@@ -416,24 +382,12 @@ impl Simulator {
                 self.now,
                 self.stats.committed
             );
-            if self.stats.committed >= mark && self.stats.committed < target {
-                checkpoint(self);
-                mark = self.stats.committed.saturating_add(every);
-            }
         }
         self.commit_budget = None;
         self.snapshot_stats()
     }
 
-    /// Runs exactly `n` cycles.
-    pub fn run_cycles(&mut self, n: u64) -> SimStats {
-        for _ in 0..n {
-            self.step();
-        }
-        self.snapshot_stats()
-    }
-
-    /// The stats snapshot `run`/`run_cycles` return: `SimStats` is `Copy`
+    /// The stats snapshot `run` returns: `SimStats` is `Copy`
     /// (plain counters), so this is a flat copy with the live tracker
     /// counters spliced in — no per-call heap clone.
     fn snapshot_stats(&self) -> SimStats {
@@ -2021,295 +1975,6 @@ impl Simulator {
                 }
             }
         }
-        Ok(())
-    }
-}
-
-// ----------------------------------------------------------------------
-// checkpointing
-// ----------------------------------------------------------------------
-
-impl Snap for Event {
-    fn encode(&self, w: &mut SnapWriter) {
-        match self {
-            Event::Agu { seq, uid } => {
-                w.put_u8(0);
-                seq.encode(w);
-                w.put_u64(*uid);
-            }
-            Event::Complete { seq, uid } => {
-                w.put_u8(1);
-                seq.encode(w);
-                w.put_u64(*uid);
-            }
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Event::Agu {
-                seq: Snap::decode(r)?,
-                uid: r.get_u64()?,
-            }),
-            1 => Ok(Event::Complete {
-                seq: Snap::decode(r)?,
-                uid: r.get_u64()?,
-            }),
-            _ => Err(r.corrupt("Event tag")),
-        }
-    }
-}
-
-regshare_types::impl_snap!(IqEntry {
-    seq,
-    class,
-    srcs,
-    n_srcs,
-    dep_store,
-    waited_dep
-});
-
-regshare_types::impl_snap!(FetchSnap { tage, ras, hist });
-
-regshare_types::impl_snap!(Checkpoint {
-    rm,
-    fl_heads,
-    tracker,
-    fetch
-});
-
-regshare_types::impl_snap!(PredInfo {
-    pred_next,
-    pred_taken,
-    tage_pred,
-    snap
-});
-
-regshare_types::impl_snap!(PipeUop { ready, uop, pred });
-
-/// Digest pinning a snapshot to its (configuration, program) pair: restore
-/// refuses state recorded under a different machine or workload.
-fn config_digest(cfg: &CoreConfig, program: &Program) -> u64 {
-    use std::hash::Hasher;
-    let mut h = FastHasher::default();
-    h.write_u64(cfg.digest());
-    h.write_u64(program.digest());
-    h.finish()
-}
-
-impl Simulator {
-    /// Serializes the complete machine state into a versioned snapshot.
-    ///
-    /// The snapshot is pinned to this simulator's configuration and program
-    /// via a digest header; [`Simulator::resume_from`] refuses anything
-    /// else. A resumed run replays the remainder of the simulation
-    /// byte-identically: same [`Simulator::arch_digest`], same
-    /// [`Simulator::stats`].
-    pub fn save_snapshot(&self) -> Vec<u8> {
-        let mut w = SnapWriter::new();
-        write_header(&mut w, SNAPSHOT, config_digest(&self.cfg, &self.program));
-        self.save_state(&mut w);
-        w.finish()
-    }
-
-    /// Rebuilds a simulator from a [`Simulator::save_snapshot`] image.
-    ///
-    /// `program` and `cfg` must be the pair the snapshot was taken under.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the image has a foreign magic/version,
-    /// was recorded under a different (configuration, program) pair, is
-    /// truncated, or fails a structural validity check.
-    pub fn resume_from(
-        program: &Program,
-        cfg: CoreConfig,
-        bytes: &[u8],
-    ) -> Result<Simulator, SnapError> {
-        let expected = config_digest(&cfg, program);
-        let mut r = SnapReader::new(bytes);
-        read_header(&mut r, SNAPSHOT, expected)?;
-        let mut sim = Simulator::new(program, cfg);
-        sim.load_state(&mut r)?;
-        r.expect_eof()?;
-        Ok(sim)
-    }
-}
-
-impl Snapshot for Simulator {
-    fn save_state(&self, w: &mut SnapWriter) {
-        self.stream.save_state(w);
-        self.mem.save_state(w);
-        self.tage.save_state(w);
-        self.btb.save_state(w);
-        self.ras.encode(w);
-        self.store_sets.save_state(w);
-        self.dist_pred.save_state(w);
-        self.ddt.save_state(w);
-        self.csn.encode(w);
-        self.tracker.save_state(w);
-        self.rm.encode(w);
-        self.crm.encode(w);
-        self.fl[0].save_state(w);
-        self.fl[1].save_state(w);
-        self.prf_value.encode(w);
-        self.prf_ready.encode(w);
-        self.rob.save_state(w);
-        self.iq.encode(w);
-        self.lq.save_state(w);
-        self.sq.save_state(w);
-        // Event wheel: only the (few) populated slots, by index.
-        let non_empty = self.wheel.iter().filter(|v| !v.is_empty()).count();
-        w.put_len(non_empty);
-        for (slot, events) in self.wheel.iter().enumerate() {
-            if !events.is_empty() {
-                w.put_u64(slot as u64);
-                events.encode(w);
-            }
-        }
-        self.int_div_busy.encode(w);
-        self.fp_div_busy.encode(w);
-        self.pipe.encode(w);
-        self.pending_fetch.encode(w);
-        w.put_u64(self.fetch_stall_until);
-        w.put_u64(self.rename_stall_until);
-        w.put_u64(self.last_fetch_line);
-        self.spec_hist.encode(w);
-        self.arch_tage.encode(w);
-        self.arch_ras.encode(w);
-        self.arch_hist.encode(w);
-        regshare_types::snapshot::encode_map_sorted(&self.ckpts, w);
-        w.put_u64(self.next_ckpt);
-        self.loads_parked.encode(w);
-        self.no_bypass_seq.encode(w);
-        w.put_u64(self.now);
-        w.put_u64(self.next_uid);
-        self.stats.encode(w);
-        w.put_u64(self.arch_digest);
-        self.last_share_seq.encode(w);
-        self.last_cam_commit.encode(w);
-    }
-
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stream.load_state(r)?;
-        self.mem.load_state(r)?;
-        self.tage.load_state(r)?;
-        self.btb.load_state(r)?;
-        self.ras = Snap::decode(r)?;
-        self.store_sets.load_state(r)?;
-        self.dist_pred.load_state(r)?;
-        self.ddt.load_state(r)?;
-        self.csn = Snap::decode(r)?;
-        self.tracker.load_state(r)?;
-        let rm: RenameMap = Snap::decode(r)?;
-        let crm: RenameMap = Snap::decode(r)?;
-        if rm
-            .iter()
-            .chain(crm.iter())
-            .any(|(_, p)| p.index() >= self.cfg.pregs_per_class)
-        {
-            return Err(r.corrupt("rename map preg out of range"));
-        }
-        self.rm = rm;
-        self.crm = crm;
-        self.fl[0].load_state(r)?;
-        self.fl[1].load_state(r)?;
-        let v: Vec<u64> = Snap::decode(r)?;
-        if v.len() != self.prf_value.len() {
-            return Err(r.corrupt("PRF value size"));
-        }
-        self.prf_value = v;
-        let v: Vec<u64> = Snap::decode(r)?;
-        if v.len() != self.prf_ready.len() {
-            return Err(r.corrupt("PRF ready size"));
-        }
-        self.prf_ready = v;
-        self.rob.load_state(r)?;
-        let preg_ok = |p: PhysReg| p.index() < self.cfg.pregs_per_class;
-        for (_, cold) in self.rob.iter() {
-            let dst_ok = cold
-                .dst
-                .is_none_or(|d| preg_ok(d.new_preg) && preg_ok(d.old_preg));
-            let share_ok = cold.share.as_ref().is_none_or(|s| preg_ok(s.preg));
-            let bypass_ok = cold.bypass.is_none_or(|b| preg_ok(b.preg));
-            if !(dst_ok && share_ok && bypass_ok) {
-                return Err(r.corrupt("ROB preg out of range"));
-            }
-        }
-        let iq: Vec<IqEntry> = Snap::decode(r)?;
-        if iq.len() > self.cfg.iq_entries {
-            return Err(r.corrupt("IQ overflow"));
-        }
-        let prf_len = 2 * self.cfg.pregs_per_class;
-        for q in &iq {
-            if q.n_srcs as usize > q.srcs.len() {
-                return Err(r.corrupt("IQ source count"));
-            }
-            if q.srcs[..q.n_srcs as usize]
-                .iter()
-                .any(|&s| s as usize >= prf_len)
-            {
-                return Err(r.corrupt("IQ source index out of range"));
-            }
-        }
-        self.iq = iq;
-        // Rebuild the transient scheduler hints from the restored
-        // scoreboard: same computation as at dispatch, so a restored
-        // machine issues identically to one that never snapshotted.
-        self.iq_wait.clear();
-        for w in &mut self.waiters {
-            w.clear();
-        }
-        for pos in 0..self.iq.len() {
-            let entry = self.iq[pos];
-            let wait = self.park_or_bound(&entry);
-            self.iq_wait.push(wait);
-        }
-        self.lq.load_state(r)?;
-        self.sq.load_state(r)?;
-        for v in &mut self.wheel {
-            v.clear();
-        }
-        let n = r.get_len()?;
-        for _ in 0..n {
-            let slot = r.get_u64()? as usize;
-            if slot >= WHEEL {
-                return Err(r.corrupt("wheel slot"));
-            }
-            self.wheel[slot] = Snap::decode(r)?;
-        }
-        let int_div_busy: Vec<u64> = Snap::decode(r)?;
-        let fp_div_busy: Vec<u64> = Snap::decode(r)?;
-        if int_div_busy.len() != self.int_div_busy.len()
-            || fp_div_busy.len() != self.fp_div_busy.len()
-        {
-            return Err(r.corrupt("div unit count"));
-        }
-        self.int_div_busy = int_div_busy;
-        self.fp_div_busy = fp_div_busy;
-        self.pipe = Snap::decode(r)?;
-        self.pending_fetch = Snap::decode(r)?;
-        self.fetch_stall_until = r.get_u64()?;
-        self.rename_stall_until = r.get_u64()?;
-        self.last_fetch_line = r.get_u64()?;
-        self.spec_hist = Snap::decode(r)?;
-        self.arch_tage = Snap::decode(r)?;
-        self.arch_ras = Snap::decode(r)?;
-        self.arch_hist = Snap::decode(r)?;
-        self.ckpts = regshare_types::snapshot::decode_map(r)?;
-        self.next_ckpt = r.get_u64()?;
-        self.loads_parked = Snap::decode(r)?;
-        self.no_bypass_seq = Snap::decode(r)?;
-        self.now = r.get_u64()?;
-        self.next_uid = r.get_u64()?;
-        self.stats = Snap::decode(r)?;
-        self.arch_digest = r.get_u64()?;
-        self.last_share_seq = Snap::decode(r)?;
-        self.last_cam_commit = Snap::decode(r)?;
-        // Process-local state: the scratch buffers are drained between
-        // cycles, the snapshot pool is a pure allocation cache, and a
-        // commit budget only lives inside a `run` call.
-        self.snap_pool.clear();
-        self.commit_budget = None;
         Ok(())
     }
 }

@@ -54,8 +54,6 @@ impl CsnMap {
     }
 }
 
-regshare_types::impl_snap!(CsnMap { csn });
-
 #[cfg(test)]
 mod tests {
     use super::*;

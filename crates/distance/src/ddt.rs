@@ -147,35 +147,6 @@ impl Ddt {
     }
 }
 
-regshare_types::impl_snap!(DdtEntry { valid, tag, csn });
-
-impl regshare_types::snapshot::Snapshot for Ddt {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.table.encode(w);
-        regshare_types::snapshot::encode_map_sorted(&self.exact, w);
-        w.put_u64(self.stores_recorded);
-        w.put_u64(self.load_hits);
-        w.put_u64(self.load_misses);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let table: Vec<DdtEntry> = Snap::decode(r)?;
-        if table.len() != self.table.len() {
-            return Err(r.corrupt("Ddt table size"));
-        }
-        self.table = table;
-        self.exact = regshare_types::snapshot::decode_map(r)?;
-        self.stores_recorded = r.get_u64()?;
-        self.load_hits = r.get_u64()?;
-        self.load_misses = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

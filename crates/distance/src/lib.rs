@@ -45,14 +45,4 @@ pub trait DistancePredictor: std::fmt::Debug {
 
     /// Storage in bits (paper: 12.2KB TAGE-like vs 17KB NoSQ-style).
     fn storage_bits(&self) -> usize;
-
-    /// Serializes the full predictor state for checkpointing.
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter);
-
-    /// Restores state saved by [`Self::save_state`] into a predictor built
-    /// from the same configuration.
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError>;
 }

@@ -159,39 +159,7 @@ impl DistancePredictor for NosqDistance {
         let per_entry = 1 + self.cfg.tag_bits as usize + 8 + self.cfg.conf_bits as usize;
         2 * (1 << self.cfg.log_entries) * per_entry
     }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.direct.encode(w);
-        self.hashed.encode(w);
-        w.put_u64(self.predictions);
-        w.put_u64(self.confident);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let direct: Vec<Entry> = Snap::decode(r)?;
-        let hashed: Vec<Entry> = Snap::decode(r)?;
-        if direct.len() != self.direct.len() || hashed.len() != self.hashed.len() {
-            return Err(r.corrupt("NosqDistance table size"));
-        }
-        self.direct = direct;
-        self.hashed = hashed;
-        self.predictions = r.get_u64()?;
-        self.confident = r.get_u64()?;
-        Ok(())
-    }
 }
-
-regshare_types::impl_snap!(Entry {
-    valid,
-    tag,
-    distance,
-    conf
-});
 
 #[cfg(test)]
 mod tests {

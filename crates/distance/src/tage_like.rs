@@ -204,47 +204,7 @@ impl DistancePredictor for TageDistance {
             })
             .sum()
     }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        w.put_len(self.tables.len());
-        for t in &self.tables {
-            t.encode(w);
-        }
-        w.put_u32(self.lfsr);
-        w.put_u64(self.predictions);
-        w.put_u64(self.confident);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let n = r.get_len()?;
-        if n != self.tables.len() {
-            return Err(r.corrupt("TageDistance component count"));
-        }
-        for t in &mut self.tables {
-            let decoded: Vec<Entry> = Snap::decode(r)?;
-            if decoded.len() != t.len() {
-                return Err(r.corrupt("TageDistance table size"));
-            }
-            *t = decoded;
-        }
-        self.lfsr = r.get_u32()?;
-        self.predictions = r.get_u64()?;
-        self.confident = r.get_u64()?;
-        Ok(())
-    }
 }
-
-regshare_types::impl_snap!(Entry {
-    valid,
-    tag,
-    distance,
-    conf
-});
 
 impl TageDistance {
     /// Allocates a fresh entry in one component with history longer than

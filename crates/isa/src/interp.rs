@@ -542,70 +542,6 @@ impl WrongPath {
     }
 }
 
-regshare_types::impl_snap!(ForkState {
-    regs,
-    ret_stack,
-    ip
-});
-
-impl regshare_types::snapshot::Snapshot for Machine {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.regs.encode(w);
-        self.mem.save_state(w);
-        self.ret_stack.encode(w);
-        w.put_u32(self.ip);
-        w.put_u64(self.seq);
-        self.halted.encode(w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        self.regs = Snap::decode(r)?;
-        self.mem.load_state(r)?;
-        self.ret_stack = Snap::decode(r)?;
-        self.ip = r.get_u32()?;
-        self.seq = r.get_u64()?;
-        self.halted = Snap::decode(r)?;
-        Ok(())
-    }
-}
-
-impl WrongPath {
-    /// Appends the wrong path's complete state (the shared program is
-    /// supplied again at decode time, not serialized).
-    pub fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::{Snap, Snapshot};
-        self.state.encode(w);
-        self.overlay.save_state(w);
-        w.put_u64(self.next_seq);
-        self.halted.encode(w);
-    }
-
-    /// Decodes a wrong path saved by [`WrongPath::save_state`], rebinding
-    /// it to `program`.
-    pub fn decode_with(
-        program: Arc<Program>,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<WrongPath, regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::{Snap, Snapshot};
-        let state = ForkState::decode(r)?;
-        let mut overlay = MemOverlay::new();
-        overlay.load_state(r)?;
-        let next_seq = r.get_u64()?;
-        let halted = Snap::decode(r)?;
-        Ok(WrongPath {
-            program,
-            state,
-            overlay,
-            next_seq,
-            halted,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -152,46 +152,6 @@ impl MemOverlay {
     }
 }
 
-impl regshare_types::snapshot::Snapshot for SparseMemory {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        let mut keys: Vec<u64> = self.pages.keys().copied().collect();
-        keys.sort_unstable();
-        w.put_len(keys.len());
-        for k in keys {
-            w.put_u64(k);
-            w.put_bytes(&self.pages[&k][..]);
-        }
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        let len = r.get_len()?;
-        self.pages.clear();
-        for _ in 0..len {
-            let k = r.get_u64()?;
-            let bytes = r.get_bytes(PAGE_SIZE)?;
-            let mut page = Box::new([0u8; PAGE_SIZE]);
-            page.copy_from_slice(bytes);
-            self.pages.insert(k, page);
-        }
-        Ok(())
-    }
-}
-
-impl regshare_types::snapshot::Snapshot for MemOverlay {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        regshare_types::snapshot::encode_map_sorted(&self.bytes, w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        self.bytes = regshare_types::snapshot::decode_map(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -455,166 +455,6 @@ impl DynUop {
     }
 }
 
-/// Implements [`Snap`](regshare_types::snapshot::Snap) for a fieldless
-/// enum (or one whose payloads are listed per variant would need a hand
-/// impl) via a stable `u8` tag table.
-macro_rules! snap_enum {
-    ($ty:ty, $what:literal, { $($tag:literal => $variant:path),* $(,)? }) => {
-        impl regshare_types::snapshot::Snap for $ty {
-            fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-                let tag: u8 = match self {
-                    $( $variant => $tag, )*
-                };
-                w.put_u8(tag);
-            }
-            fn decode(
-                r: &mut regshare_types::snapshot::SnapReader<'_>,
-            ) -> Result<Self, regshare_types::snapshot::SnapError> {
-                match r.get_u8()? {
-                    $( $tag => Ok($variant), )*
-                    _ => Err(r.corrupt($what)),
-                }
-            }
-        }
-    };
-}
-
-snap_enum!(AluOp, "AluOp", {
-    0 => AluOp::Add,
-    1 => AluOp::Sub,
-    2 => AluOp::And,
-    3 => AluOp::Or,
-    4 => AluOp::Xor,
-    5 => AluOp::Shl,
-    6 => AluOp::Shr,
-});
-
-snap_enum!(Cond, "Cond", {
-    0 => Cond::Eq,
-    1 => Cond::Ne,
-    2 => Cond::Lt,
-    3 => Cond::Ge,
-    4 => Cond::BitSet,
-});
-
-snap_enum!(MoveWidth, "MoveWidth", {
-    0 => MoveWidth::W8,
-    1 => MoveWidth::W16,
-    2 => MoveWidth::W32,
-    3 => MoveWidth::W64,
-});
-
-snap_enum!(BranchKind, "BranchKind", {
-    0 => BranchKind::Conditional,
-    1 => BranchKind::Direct,
-    2 => BranchKind::Call,
-    3 => BranchKind::Return,
-});
-
-snap_enum!(ExecClass, "ExecClass", {
-    0 => ExecClass::IntAlu,
-    1 => ExecClass::IntMul,
-    2 => ExecClass::IntDiv,
-    3 => ExecClass::FpAdd,
-    4 => ExecClass::FpMul,
-    5 => ExecClass::FpDiv,
-    6 => ExecClass::Load,
-    7 => ExecClass::Store,
-});
-
-impl regshare_types::snapshot::Snap for Operand {
-    fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        match self {
-            Operand::Reg(r) => {
-                w.put_u8(0);
-                r.encode(w);
-            }
-            Operand::Imm(v) => {
-                w.put_u8(1);
-                w.put_u64(*v);
-            }
-        }
-    }
-    fn decode(
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<Self, regshare_types::snapshot::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(Operand::Reg(ArchReg::decode(r)?)),
-            1 => Ok(Operand::Imm(r.get_u64()?)),
-            _ => Err(r.corrupt("Operand")),
-        }
-    }
-}
-
-impl regshare_types::snapshot::Snap for UopKind {
-    fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        match self {
-            UopKind::IntAlu => w.put_u8(0),
-            UopKind::IntMul => w.put_u8(1),
-            UopKind::IntDiv => w.put_u8(2),
-            UopKind::FpAdd => w.put_u8(3),
-            UopKind::FpMul => w.put_u8(4),
-            UopKind::FpDiv => w.put_u8(5),
-            UopKind::Move { width, class } => {
-                w.put_u8(6);
-                width.encode(w);
-                class.encode(w);
-            }
-            UopKind::Load => w.put_u8(7),
-            UopKind::Store => w.put_u8(8),
-            UopKind::Branch(kind) => {
-                w.put_u8(9);
-                kind.encode(w);
-            }
-        }
-    }
-    fn decode(
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<Self, regshare_types::snapshot::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(UopKind::IntAlu),
-            1 => Ok(UopKind::IntMul),
-            2 => Ok(UopKind::IntDiv),
-            3 => Ok(UopKind::FpAdd),
-            4 => Ok(UopKind::FpMul),
-            5 => Ok(UopKind::FpDiv),
-            6 => Ok(UopKind::Move {
-                width: MoveWidth::decode(r)?,
-                class: RegClass::decode(r)?,
-            }),
-            7 => Ok(UopKind::Load),
-            8 => Ok(UopKind::Store),
-            9 => Ok(UopKind::Branch(BranchKind::decode(r)?)),
-            _ => Err(r.corrupt("UopKind")),
-        }
-    }
-}
-
-regshare_types::impl_snap!(BranchOutcome {
-    kind,
-    taken,
-    next_sidx,
-    fallthrough_sidx
-});
-regshare_types::impl_snap!(MemRef {
-    addr,
-    size,
-    is_store
-});
-regshare_types::impl_snap!(DynUop {
-    seq,
-    sidx,
-    pc,
-    kind,
-    srcs,
-    dst,
-    mem,
-    result,
-    branch,
-    wrong_path,
-    history,
-});
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -54,10 +54,10 @@ fn cache() -> &'static Mutex<StreamCache> {
 
 /// Process-wide stream-cache counters (monotonic since process start).
 ///
-/// Deliberately *not* part of [`crate::Machine`] or any snapshot payload:
+/// Deliberately *not* part of [`crate::Machine`] or any run's statistics:
 /// whether a run was served from the cache is invisible to the simulated
-/// architecture, and folding these into serialized state would make resumed
-/// runs byte-differ from uninterrupted ones whenever the cache is warm.
+/// architecture, and folding these into its results would make the same
+/// run report differently depending on whether the cache is warm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamCacheStats {
     /// Correct-path µ-ops decoded live by the interpreter. Flushed from each
@@ -374,57 +374,6 @@ impl Drop for FetchStream {
         self.publish_recording();
         ORACLE_DECODES.fetch_add(self.decodes, Ordering::Relaxed);
         REPLAYED_UOPS.fetch_add(self.replays, Ordering::Relaxed);
-    }
-}
-
-impl regshare_types::snapshot::Snapshot for FetchStream {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.machine.save_state(w);
-        w.put_len(self.buf.len());
-        for entry in &self.buf {
-            entry.uop.encode(w);
-            entry.fork.encode(w);
-        }
-        w.put_u64(self.base_seq);
-        w.put_u64(self.cursor);
-        match &self.wrong {
-            None => w.put_u8(0),
-            Some(wp) => {
-                w.put_u8(1);
-                wp.save_state(w);
-            }
-        }
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        self.machine.load_state(r)?;
-        let len = r.get_len()?;
-        self.buf.clear();
-        for _ in 0..len {
-            let uop = DynUop::decode(r)?;
-            let fork = Snap::decode(r)?;
-            self.buf.push_back(BufEntry { uop, fork });
-        }
-        self.base_seq = r.get_u64()?;
-        self.cursor = r.get_u64()?;
-        self.wrong = match r.get_u8()? {
-            0 => None,
-            1 => Some(WrongPath::decode_with(
-                Arc::clone(self.machine.program()),
-                r,
-            )?),
-            _ => return Err(r.corrupt("FetchStream wrong-path tag")),
-        };
-        // The machine just jumped to an arbitrary point, so anything recorded
-        // so far is no longer a cold-start prefix. Replay from `cached` stays
-        // valid — it is indexed by absolute sequence number and oracle state
-        // at a given seq is unique.
-        self.rec = None;
-        Ok(())
     }
 }
 

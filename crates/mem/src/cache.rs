@@ -164,34 +164,6 @@ impl Cache {
     }
 }
 
-regshare_types::impl_snap!(Line {
-    tag,
-    lru,
-    valid,
-    prefetched
-});
-
-impl regshare_types::snapshot::Snapshot for Cache {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.lines.encode(w);
-        w.put_u64(self.tick);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let lines: Vec<Line> = Snap::decode(r)?;
-        if lines.len() != self.lines.len() {
-            return Err(r.corrupt("Cache line count"));
-        }
-        self.lines = lines;
-        self.tick = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

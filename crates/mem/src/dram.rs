@@ -103,31 +103,6 @@ impl DramModel {
     }
 }
 
-impl regshare_types::snapshot::Snapshot for DramModel {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.open_rows.encode(w);
-        w.put_u64(self.bus_free);
-        w.put_u64(self.accesses);
-        w.put_u64(self.row_hits);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let open_rows: Vec<u64> = Snap::decode(r)?;
-        if open_rows.len() != self.open_rows.len() {
-            return Err(r.corrupt("DramModel bank count"));
-        }
-        self.open_rows = open_rows;
-        self.bus_free = r.get_u64()?;
-        self.accesses = r.get_u64()?;
-        self.row_hits = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

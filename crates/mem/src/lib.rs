@@ -279,57 +279,6 @@ impl MemorySystem {
     }
 }
 
-regshare_types::impl_snap!(MemStats {
-    l1i_hits,
-    l1i_misses,
-    l1d_hits,
-    l1d_misses,
-    l2_hits,
-    l2_misses,
-    prefetches_issued,
-    prefetch_hits,
-    mshr_rejects
-});
-
-impl regshare_types::snapshot::Snapshot for MemorySystem {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.l1i.save_state(w);
-        self.l1d.save_state(w);
-        self.l2.save_state(w);
-        self.l1d_mshrs.save_state(w);
-        self.l2_mshrs.save_state(w);
-        self.dram.save_state(w);
-        match &self.prefetcher {
-            None => w.put_u8(0),
-            Some(pf) => {
-                w.put_u8(1);
-                pf.save_state(w);
-            }
-        }
-        self.stats.encode(w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        self.l1i.load_state(r)?;
-        self.l1d.load_state(r)?;
-        self.l2.load_state(r)?;
-        self.l1d_mshrs.load_state(r)?;
-        self.l2_mshrs.load_state(r)?;
-        self.dram.load_state(r)?;
-        match (r.get_u8()?, &mut self.prefetcher) {
-            (0, None) => {}
-            (1, Some(pf)) => pf.load_state(r)?,
-            _ => return Err(r.corrupt("MemorySystem prefetcher presence")),
-        }
-        self.stats = Snap::decode(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

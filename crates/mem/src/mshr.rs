@@ -68,19 +68,6 @@ impl MshrFile {
     }
 }
 
-impl regshare_types::snapshot::Snapshot for MshrFile {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        regshare_types::snapshot::encode_map_sorted(&self.entries, w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        self.entries = regshare_types::snapshot::decode_map(r)?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -107,32 +107,6 @@ impl StridePrefetcher {
     }
 }
 
-regshare_types::impl_snap!(StrideEntry {
-    tag,
-    last_line,
-    stride,
-    confidence
-});
-
-impl regshare_types::snapshot::Snapshot for StridePrefetcher {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.table.encode(w);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let table: Vec<StrideEntry> = Snap::decode(r)?;
-        if table.len() != self.table.len() {
-            return Err(r.corrupt("StridePrefetcher table size"));
-        }
-        self.table = table;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

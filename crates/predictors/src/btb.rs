@@ -118,38 +118,6 @@ impl Btb {
     }
 }
 
-regshare_types::impl_snap!(BtbEntry {
-    tag,
-    target_sidx,
-    lru,
-    valid
-});
-
-impl regshare_types::snapshot::Snapshot for Btb {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.sets.encode(w);
-        w.put_u64(self.tick);
-        w.put_u64(self.hits);
-        w.put_u64(self.misses);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let sets: Vec<BtbEntry> = Snap::decode(r)?;
-        if sets.len() != self.sets.len() {
-            return Err(r.corrupt("Btb table size"));
-        }
-        self.sets = sets;
-        self.tick = r.get_u64()?;
-        self.hits = r.get_u64()?;
-        self.misses = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

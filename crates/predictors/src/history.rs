@@ -145,41 +145,6 @@ impl FoldedHistory {
     }
 }
 
-regshare_types::impl_snap!(GlobalHistory { words });
-
-impl regshare_types::snapshot::Snap for FoldedHistory {
-    fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        w.put_u32(self.comp);
-        regshare_types::snapshot::Snap::encode(&self.hist_len, w);
-        w.put_u32(self.folded_bits);
-        w.put_u32(self.out_pos);
-    }
-    fn decode(
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<Self, regshare_types::snapshot::SnapError> {
-        let comp = r.get_u32()?;
-        let hist_len: usize = regshare_types::snapshot::Snap::decode(r)?;
-        let folded_bits = r.get_u32()?;
-        let out_pos = r.get_u32()?;
-        // The shift arithmetic in `push` relies on these invariants (the
-        // same ones `new` asserts); a corrupt stream must not import a
-        // geometry that would overflow a shift later.
-        if folded_bits == 0
-            || folded_bits > 32
-            || hist_len > MAX_HISTORY
-            || out_pos != (hist_len as u32) % folded_bits
-        {
-            return Err(r.corrupt("FoldedHistory geometry"));
-        }
-        Ok(FoldedHistory {
-            comp,
-            hist_len,
-            folded_bits,
-            out_pos,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,29 +89,6 @@ impl ReturnAddressStack {
     }
 }
 
-impl regshare_types::snapshot::Snap for ReturnAddressStack {
-    fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        self.entries.encode(w);
-        w.put_u64(self.top as u64);
-        w.put_u64(self.depth as u64);
-    }
-    fn decode(
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<Self, regshare_types::snapshot::SnapError> {
-        let entries: Vec<u32> = regshare_types::snapshot::Snap::decode(r)?;
-        let top = r.get_u64()? as usize;
-        let depth = r.get_u64()? as usize;
-        if entries.is_empty() || top >= entries.len() || depth > entries.len() {
-            return Err(r.corrupt("ReturnAddressStack bounds"));
-        }
-        Ok(ReturnAddressStack {
-            entries,
-            top,
-            depth,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

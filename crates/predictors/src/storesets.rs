@@ -172,37 +172,6 @@ impl StoreSets {
     }
 }
 
-impl regshare_types::snapshot::Snapshot for StoreSets {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.ssit.encode(w);
-        self.lfst.encode(w);
-        w.put_u32(self.next_ssid);
-        w.put_u64(self.violations_trained);
-        w.put_u64(self.accesses);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let ssit: Vec<u32> = Snap::decode(r)?;
-        if ssit.len() != self.ssit.len() {
-            return Err(r.corrupt("StoreSets SSIT size"));
-        }
-        let lfst: Vec<Option<SeqNum>> = Snap::decode(r)?;
-        if lfst.len() != self.lfst.len() {
-            return Err(r.corrupt("StoreSets LFST size"));
-        }
-        self.ssit = ssit;
-        self.lfst = lfst;
-        self.next_ssid = r.get_u32()?;
-        self.violations_trained = r.get_u64()?;
-        self.accesses = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -428,71 +428,6 @@ impl Tage {
     }
 }
 
-regshare_types::impl_snap!(TageEntry { tag, ctr, useful });
-regshare_types::impl_snap!(TageHistory { ghist, path, folds });
-regshare_types::impl_snap!(TagePrediction {
-    taken,
-    provider,
-    alt_taken,
-    provider_weak,
-    n_comps,
-    indices,
-    tags,
-    base_index
-});
-
-impl regshare_types::snapshot::Snapshot for Tage {
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.base.encode(w);
-        w.put_len(self.comps.len());
-        for c in &self.comps {
-            c.entries.encode(w);
-            c.folded_idx.encode(w);
-            c.folded_tag0.encode(w);
-            c.folded_tag1.encode(w);
-        }
-        self.ghist.encode(w);
-        w.put_u16(self.path);
-        w.put_u64(self.updates);
-        w.put_u32(self.lfsr);
-        w.put_u64(self.lookups);
-        w.put_u64(self.mispredicts_trained);
-    }
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let base: Vec<SignedCounter> = Snap::decode(r)?;
-        if base.len() != self.base.len() {
-            return Err(r.corrupt("Tage base table size"));
-        }
-        self.base = base;
-        let n = r.get_len()?;
-        if n != self.comps.len() {
-            return Err(r.corrupt("Tage component count"));
-        }
-        for c in &mut self.comps {
-            let entries: Vec<TageEntry> = Snap::decode(r)?;
-            if entries.len() != c.entries.len() {
-                return Err(r.corrupt("Tage component table size"));
-            }
-            c.entries = entries;
-            c.folded_idx = Snap::decode(r)?;
-            c.folded_tag0 = Snap::decode(r)?;
-            c.folded_tag1 = Snap::decode(r)?;
-        }
-        self.ghist = Snap::decode(r)?;
-        self.path = r.get_u16()?;
-        self.updates = r.get_u64()?;
-        self.lfsr = r.get_u32()?;
-        self.lookups = r.get_u64()?;
-        self.mispredicts_trained = r.get_u64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

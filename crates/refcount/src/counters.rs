@@ -236,32 +236,6 @@ impl SharingTracker for PerRegCounters {
     fn stats(&self) -> TrackerStats {
         self.stats
     }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.counts[0].encode(w);
-        self.counts[1].encode(w);
-        self.stats.encode(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let int: Vec<u32> = Snap::decode(r)?;
-        let fp: Vec<u32> = Snap::decode(r)?;
-        if int.len() != self.counts[0].len() || fp.len() != self.counts[1].len() {
-            return Err(r.corrupt("PerRegCounters table size"));
-        }
-        self.counts = [int, fp];
-        self.stats = Snap::decode(r)?;
-        // The debug trace only explains counts accumulated in this process;
-        // restored counts have no in-process history.
-        #[cfg(debug_assertions)]
-        self.trace.clear();
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -93,15 +93,6 @@ struct Entry {
     referenced_committed: u32,
 }
 
-regshare_types::impl_snap!(Entry {
-    valid,
-    class_fp,
-    preg,
-    referenced,
-    committed,
-    referenced_committed
-});
-
 #[derive(Debug, Clone)]
 struct Checkpoint {
     id: CheckpointId,
@@ -175,19 +166,6 @@ impl Isrb {
             lane.resize(p + 1, 0);
         }
         lane[p] = slot as u32 + 1;
-    }
-
-    /// Rebuilds the direct map from `entries` (snapshot restore).
-    fn reindex(&mut self) {
-        for lane in &mut self.index {
-            lane.clear();
-            lane.resize(self.cfg.pregs_per_class, 0);
-        }
-        for slot in 0..self.entries.len() {
-            if self.entries[slot].valid {
-                self.index_insert(slot);
-            }
-        }
     }
 
     fn alloc_slot(&mut self) -> Option<usize> {
@@ -437,52 +415,6 @@ impl SharingTracker for Isrb {
 
     fn stats(&self) -> TrackerStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.entries.encode(w);
-        self.free_slots.encode(w);
-        w.put_len(self.checkpoints.len());
-        for c in &self.checkpoints {
-            w.put_u64(c.id);
-            c.referenced.encode(w);
-        }
-        w.put_u64(self.next_ckpt);
-        self.stats.encode(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let entries: Vec<Entry> = Snap::decode(r)?;
-        if self.cfg.entries != 0 && entries.len() != self.entries.len() {
-            return Err(r.corrupt("Isrb entry count"));
-        }
-        let free_slots: Vec<usize> = Snap::decode(r)?;
-        if free_slots.iter().any(|&s| s >= entries.len()) {
-            return Err(r.corrupt("Isrb free slot out of range"));
-        }
-        let n = r.get_len()?;
-        let mut checkpoints = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let id = r.get_u64()?;
-            let referenced: Vec<u32> = Snap::decode(r)?;
-            if referenced.len() != entries.len() {
-                return Err(r.corrupt("Isrb checkpoint size"));
-            }
-            checkpoints.push_back(Checkpoint { id, referenced });
-        }
-        self.entries = entries;
-        self.free_slots = free_slots;
-        self.reindex();
-        self.checkpoints = checkpoints;
-        self.ckpt_pool.clear();
-        self.next_ckpt = r.get_u64()?;
-        self.stats = Snap::decode(r)?;
-        Ok(())
     }
 }
 

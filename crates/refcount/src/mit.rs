@@ -141,20 +141,6 @@ impl SharingTracker for Mit {
         s.shares_rejected_kind = self.rejected_kind;
         s
     }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        self.inner.save_state(w);
-        w.put_u64(self.rejected_kind);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        self.inner.load_state(r)?;
-        self.rejected_kind = r.get_u64()?;
-        Ok(())
-    }
 }
 
 #[cfg(test)]

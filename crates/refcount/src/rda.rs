@@ -26,14 +26,6 @@ struct Entry {
     arch_count: u32,
 }
 
-regshare_types::impl_snap!(Entry {
-    valid,
-    class_fp,
-    preg,
-    count,
-    arch_count
-});
-
 #[derive(Debug, Clone)]
 struct Checkpoint {
     id: CheckpointId,
@@ -283,51 +275,6 @@ impl SharingTracker for Rda {
 
     fn stats(&self) -> TrackerStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        self.entries.encode(w);
-        self.free_slots.encode(w);
-        w.put_len(self.checkpoints.len());
-        for c in &self.checkpoints {
-            w.put_u64(c.id);
-            c.counts.encode(w);
-        }
-        w.put_u64(self.next_ckpt);
-        self.stats.encode(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        let entries: Vec<Entry> = Snap::decode(r)?;
-        if entries.len() != self.entries.len() {
-            return Err(r.corrupt("Rda entry count"));
-        }
-        let free_slots: Vec<usize> = Snap::decode(r)?;
-        if free_slots.iter().any(|&s| s >= entries.len()) {
-            return Err(r.corrupt("Rda free slot out of range"));
-        }
-        let n = r.get_len()?;
-        let mut checkpoints = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let id = r.get_u64()?;
-            let counts: Vec<u32> = Snap::decode(r)?;
-            if counts.len() != entries.len() {
-                return Err(r.corrupt("Rda checkpoint size"));
-            }
-            checkpoints.push_back(Checkpoint { id, counts });
-        }
-        self.entries = entries;
-        self.free_slots = free_slots;
-        self.checkpoints = checkpoints;
-        self.ckpt_pool.clear();
-        self.next_ckpt = r.get_u64()?;
-        self.stats = Snap::decode(r)?;
-        Ok(())
     }
 }
 

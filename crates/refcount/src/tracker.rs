@@ -176,38 +176,6 @@ pub struct TrackerStats {
     pub peak_occupancy: usize,
 }
 
-impl regshare_types::snapshot::Snap for ShareKind {
-    fn encode(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        match self {
-            ShareKind::MoveElim { arch_dst, arch_src } => {
-                w.put_u8(0);
-                arch_dst.encode(w);
-                arch_src.encode(w);
-            }
-            ShareKind::Bypass { arch_dst } => {
-                w.put_u8(1);
-                arch_dst.encode(w);
-            }
-        }
-    }
-    fn decode(
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<Self, regshare_types::snapshot::SnapError> {
-        match r.get_u8()? {
-            0 => Ok(ShareKind::MoveElim {
-                arch_dst: regshare_types::snapshot::Snap::decode(r)?,
-                arch_src: regshare_types::snapshot::Snap::decode(r)?,
-            }),
-            1 => Ok(ShareKind::Bypass {
-                arch_dst: regshare_types::snapshot::Snap::decode(r)?,
-            }),
-            _ => Err(r.corrupt("ShareKind tag")),
-        }
-    }
-}
-
-regshare_types::impl_snap!(ShareRequest { class, preg, kind });
-
 regshare_types::impl_snap!(TrackerStats {
     shares_accepted,
     shares_rejected_full,
@@ -294,16 +262,6 @@ pub trait SharingTracker: fmt::Debug {
 
     /// Statistics so far.
     fn stats(&self) -> TrackerStats;
-
-    /// Serializes the full tracker state for checkpointing.
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter);
-
-    /// Restores state saved by [`SharingTracker::save_state`] into a tracker
-    /// built from the same configuration.
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError>;
 }
 
 #[cfg(test)]

@@ -27,12 +27,6 @@ struct Entry {
     referenced_committed: u64,
 }
 
-regshare_types::impl_snap!(Entry {
-    referenced,
-    committed,
-    referenced_committed
-});
-
 /// The ideal (oracle) sharing tracker. See the module docs.
 ///
 /// # Examples
@@ -78,8 +72,7 @@ impl UnlimitedTracker {
         freed: &mut Vec<(RegClass, PhysReg)>,
     ) {
         // Sort so the freed-register order (and thus downstream free-list
-        // order) is independent of hash-map iteration order — required for
-        // snapshot/resume runs to replay identically.
+        // order) is independent of hash-map iteration order.
         let mut keys: Vec<Key> = self.live.keys().copied().collect();
         keys.sort_unstable();
         for k in keys {
@@ -200,37 +193,6 @@ impl SharingTracker for UnlimitedTracker {
 
     fn stats(&self) -> TrackerStats {
         self.stats
-    }
-
-    fn save_state(&self, w: &mut regshare_types::snapshot::SnapWriter) {
-        use regshare_types::snapshot::Snap;
-        regshare_types::snapshot::encode_map_sorted(&self.live, w);
-        w.put_len(self.checkpoints.len());
-        for (id, snap) in &self.checkpoints {
-            w.put_u64(*id);
-            regshare_types::snapshot::encode_map_sorted(snap, w);
-        }
-        w.put_u64(self.next_ckpt);
-        self.stats.encode(w);
-    }
-
-    fn load_state(
-        &mut self,
-        r: &mut regshare_types::snapshot::SnapReader<'_>,
-    ) -> Result<(), regshare_types::snapshot::SnapError> {
-        use regshare_types::snapshot::Snap;
-        self.live = regshare_types::snapshot::decode_map(r)?;
-        let n = r.get_len()?;
-        let mut checkpoints = VecDeque::with_capacity(n);
-        for _ in 0..n {
-            let id = r.get_u64()?;
-            let snap = regshare_types::snapshot::decode_map(r)?;
-            checkpoints.push_back((id, snap));
-        }
-        self.checkpoints = checkpoints;
-        self.next_ckpt = r.get_u64()?;
-        self.stats = Snap::decode(r)?;
-        Ok(())
     }
 }
 

@@ -1,6 +1,6 @@
 //! Cache correctness: cold/warm byte-identity, persistence across engine
 //! restarts, eviction that never corrupts survivors, and typed rejection
-//! of damaged entries (mirroring the snapshot layer's `snapshot_errors`
+//! of damaged entries (mirroring the checkpoint image's `snapshot_errors`
 //! suite).
 
 use regshare_bench::digest::cell_digest;
@@ -202,7 +202,7 @@ fn truncated_and_foreign_entries_are_rejected_with_typed_errors() {
         other => panic!("truncated entry: got {other:?}"),
     }
 
-    // A machine snapshot is not a cache entry: BadMagic.
+    // A checkpoint image is not a cache entry: BadMagic.
     let mut snap = good.clone();
     snap[..4].copy_from_slice(b"RGSH");
     std::fs::write(&path, &snap).unwrap();

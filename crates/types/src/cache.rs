@@ -4,9 +4,9 @@
 //! (workload × configuration × window) cell. Each file is a flat
 //! little-endian stream in the same discipline as [`crate::snapshot`] but
 //! under its **own** magic and version, because the two formats evolve
-//! independently: a machine-snapshot layout bump does not invalidate
+//! independently: a checkpoint-image layout bump does not invalidate
 //! cached results, and a result-payload change does not refuse old
-//! machine snapshots.
+//! checkpoint images.
 //!
 //! ```text
 //! offset  size  field
@@ -15,12 +15,12 @@
 //! 8       8     cell digest (u64 LE): content address of the entry
 //! ```
 //!
-//! The header is the snapshot header under another [`StreamFormat`], so
-//! [`read_header`](crate::snapshot::read_header) with [`CACHE`] refuses a
-//! stream whose magic, version or digest does not match, with the same
-//! typed [`SnapError`](crate::snapshot::SnapError)s the snapshot codec
-//! uses — a truncated or foreign-version cache file is a *diagnosed*
-//! rejection, never a panic or a silently-wrong result.
+//! The header is the checkpoint-image header under another
+//! [`StreamFormat`], so [`read_header`](crate::snapshot::read_header) with
+//! [`CACHE`] refuses a stream whose magic, version or digest does not
+//! match, with the same typed [`SnapError`](crate::snapshot::SnapError)s
+//! the image codec uses — a truncated or foreign-version cache file is a
+//! *diagnosed* rejection, never a panic or a silently-wrong result.
 
 use crate::snapshot::StreamFormat;
 
@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn foreign_streams_are_refused_with_typed_errors() {
-        // A machine snapshot is NOT a cache entry: different magic.
+        // A checkpoint image is NOT a cache entry: different magic.
         let mut w = SnapWriter::new();
         write_header(&mut w, SNAPSHOT, 42);
         let snap = w.finish();

@@ -171,38 +171,6 @@ impl SignedCounter {
     }
 }
 
-impl crate::snapshot::Snap for SatCounter {
-    fn encode(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_u32(self.value);
-        w.put_u32(self.max);
-    }
-    fn decode(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let value = r.get_u32()?;
-        let max = r.get_u32()?;
-        if value > max {
-            return Err(r.corrupt("SatCounter value"));
-        }
-        Ok(SatCounter { value, max })
-    }
-}
-
-impl crate::snapshot::Snap for SignedCounter {
-    fn encode(&self, w: &mut crate::snapshot::SnapWriter) {
-        w.put_u32(self.value as u32);
-        w.put_u32(self.min as u32);
-        w.put_u32(self.max as u32);
-    }
-    fn decode(r: &mut crate::snapshot::SnapReader<'_>) -> Result<Self, crate::snapshot::SnapError> {
-        let value = r.get_u32()? as i32;
-        let min = r.get_u32()? as i32;
-        let max = r.get_u32()? as i32;
-        if min > max || value < min || value > max {
-            return Err(r.corrupt("SignedCounter value"));
-        }
-        Ok(SignedCounter { value, min, max })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

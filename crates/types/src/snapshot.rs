@@ -1,25 +1,22 @@
-//! Dependency-free binary snapshot codec shared by every stateful crate.
+//! Dependency-free binary codec for the workspace's on-disk streams:
+//! checkpoint images (`regshare-bench`'s `checkpoint` module) and, under
+//! their own [`StreamFormat`], the serve daemon's cached results.
 //!
-//! Snapshots are flat little-endian byte streams with length-prefixed
+//! Streams are flat little-endian byte sequences with length-prefixed
 //! containers — no self-description, no schema evolution, no external
-//! crates. A snapshot file starts with a fixed header:
+//! crates. A checkpoint image starts with a fixed header:
 //!
 //! ```text
 //! offset  size  field
 //! 0       4     magic  b"RGSH"
-//! 4       4     format version (u32 LE), currently 2
-//! 8       8     context digest (u64 LE): CoreConfig ⊕ Program
+//! 4       4     format version (u32 LE), currently 3
+//! 8       8     context digest (u64 LE): the scenario the image belongs to
 //! ```
 //!
 //! The header is the compatibility contract: [`read_header`] refuses a
 //! stream whose magic, version or digest does not match, with a typed
 //! [`SnapError`] naming exactly what disagreed. Everything after the
-//! header is the subsystem payload, written field by field via the
-//! [`Snap`] (owned value) and [`Snapshot`] (load-into-place) traits.
-//!
-//! Canonical form: encoders must be deterministic functions of logical
-//! state — hash maps are written in sorted key order ([`encode_map_sorted`])
-//! — so `encode(decode(bytes)) == bytes` holds for every valid snapshot.
+//! header is the payload, written value by value via [`Snap`].
 //!
 //! # Examples
 //!
@@ -33,25 +30,23 @@
 //! assert_eq!(Vec::<u64>::decode(&mut r).unwrap(), vec![1, 2, 3]);
 //! ```
 
-use crate::{ArchReg, Cycle, HistorySnapshot, PhysReg, RegClass, SeqNum};
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasher, Hash};
 
-/// Magic bytes opening every snapshot stream.
+/// Magic bytes opening every checkpoint image.
 pub const MAGIC: [u8; 4] = *b"RGSH";
 
-/// Current snapshot format version. Bump on ANY layout change — there is
-/// deliberately no migration path: an old snapshot is refused, never
-/// reinterpreted. Version 2: RDA free-slot stack joined the payload.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current checkpoint image format version. Bump on ANY layout change —
+/// there is deliberately no migration path: an old image is refused, never
+/// reinterpreted. Version 3: one finished-cell slot per sweep cell, and no
+/// machine state.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Typed decode failure. Every malformed input maps to one of these —
 /// decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
     /// The stream does not start with its format's magic ([`MAGIC`] for a
-    /// snapshot) — not this kind of stream at all.
+    /// checkpoint image) — not this kind of stream at all.
     BadMagic {
         /// The four bytes actually found.
         found: [u8; 4],
@@ -61,14 +56,15 @@ pub enum SnapError {
         /// Version recorded in the stream.
         found: u32,
         /// The only version this build reads ([`FORMAT_VERSION`] for a
-        /// snapshot).
+        /// checkpoint image).
         supported: u32,
     },
-    /// The stream was captured under a different `CoreConfig`/program.
+    /// The stream was recorded for a different experiment: another
+    /// scenario or window (an image), or another cell (a cache entry).
     ConfigDigestMismatch {
         /// Digest recorded in the stream.
         found: u64,
-        /// Digest of the configuration we tried to restore onto.
+        /// Digest of the experiment being resumed or looked up.
         expected: u64,
     },
     /// The stream ended before a field could be read in full.
@@ -311,7 +307,7 @@ pub struct StreamFormat {
     pub version: u32,
 }
 
-/// Machine snapshots and checkpoint images: [`MAGIC`], [`FORMAT_VERSION`].
+/// Checkpoint images: [`MAGIC`], [`FORMAT_VERSION`].
 pub const SNAPSHOT: StreamFormat = StreamFormat {
     magic: MAGIC,
     version: FORMAT_VERSION,
@@ -353,26 +349,11 @@ pub fn read_header(
 }
 
 /// An owned value with a canonical binary encoding.
-///
-/// For plain data (counters, queue entries, µ-ops). Stateful subsystems
-/// that must be rebuilt from their configuration first implement
-/// [`Snapshot`] instead.
 pub trait Snap: Sized {
     /// Appends the canonical encoding of `self`.
     fn encode(&self, w: &mut SnapWriter);
     /// Decodes one value, consuming exactly what [`Snap::encode`] wrote.
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError>;
-}
-
-/// A stateful subsystem that saves into / loads from a snapshot stream
-/// **in place** (the receiver is first rebuilt from its configuration,
-/// then overwritten with the recorded state). Object-safe, so trait
-/// objects like the sharing trackers can participate.
-pub trait Snapshot {
-    /// Appends the subsystem's complete logical state.
-    fn save_state(&self, w: &mut SnapWriter);
-    /// Overwrites the subsystem's state from the stream.
-    fn load_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
 }
 
 macro_rules! snap_prim {
@@ -484,46 +465,6 @@ impl<T: Snap> Snap for Vec<T> {
     }
 }
 
-impl<T: Snap> Snap for VecDeque<T> {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Vec::<T>::decode(r)?.into())
-    }
-}
-
-impl<T: Snap> Snap for Box<T> {
-    fn encode(&self, w: &mut SnapWriter) {
-        (**self).encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Box::new(T::decode(r)?))
-    }
-}
-
-impl<T: Snap, const N: usize> Snap for [T; N] {
-    fn encode(&self, w: &mut SnapWriter) {
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut out = Vec::with_capacity(N);
-        for _ in 0..N {
-            out.push(T::decode(r)?);
-        }
-        match out.try_into() {
-            Ok(arr) => Ok(arr),
-            // We pushed exactly N elements above.
-            Err(_) => unreachable!("array length mismatch"),
-        }
-    }
-}
-
 impl<A: Snap, B: Snap> Snap for (A, B) {
     fn encode(&self, w: &mut SnapWriter) {
         self.0.encode(w);
@@ -532,118 +473,6 @@ impl<A: Snap, B: Snap> Snap for (A, B) {
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         Ok((A::decode(r)?, B::decode(r)?))
     }
-}
-
-impl<A: Snap, B: Snap, C: Snap> Snap for (A, B, C) {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-        self.2.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::decode(r)?, B::decode(r)?, C::decode(r)?))
-    }
-}
-
-impl Snap for RegClass {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(self.index() as u8);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(RegClass::Int),
-            1 => Ok(RegClass::Fp),
-            _ => Err(r.corrupt("RegClass")),
-        }
-    }
-}
-
-impl Snap for ArchReg {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(self.flat() as u8);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let flat = r.get_u8()? as usize;
-        if flat >= ArchReg::COUNT {
-            return Err(r.corrupt("ArchReg"));
-        }
-        Ok(ArchReg::from_flat(flat))
-    }
-}
-
-impl Snap for PhysReg {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u16(self.index() as u16);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(PhysReg::new(r.get_u16()? as usize))
-    }
-}
-
-impl Snap for SeqNum {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(SeqNum(r.get_u64()?))
-    }
-}
-
-impl Snap for Cycle {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.0);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Cycle(r.get_u64()?))
-    }
-}
-
-impl Snap for HistorySnapshot {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(self.ghist);
-        w.put_u16(self.path);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(HistorySnapshot {
-            ghist: r.get_u64()?,
-            path: r.get_u16()?,
-        })
-    }
-}
-
-/// Encodes a hash map in **sorted key order** — the canonical form that
-/// makes `encode(decode(bytes)) == bytes` hold regardless of the map's
-/// insertion history.
-pub fn encode_map_sorted<K, V, S>(map: &HashMap<K, V, S>, w: &mut SnapWriter)
-where
-    K: Snap + Ord,
-    V: Snap,
-    S: BuildHasher,
-{
-    let mut entries: Vec<(&K, &V)> = map.iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(b.0));
-    w.put_len(entries.len());
-    for (k, v) in entries {
-        k.encode(w);
-        v.encode(w);
-    }
-}
-
-/// Decodes a hash map written by [`encode_map_sorted`].
-pub fn decode_map<K, V, S>(r: &mut SnapReader<'_>) -> Result<HashMap<K, V, S>, SnapError>
-where
-    K: Snap + Eq + Hash,
-    V: Snap,
-    S: BuildHasher + Default,
-{
-    let len = r.get_len()?;
-    let mut map = HashMap::with_capacity_and_hasher(len, S::default());
-    for _ in 0..len {
-        let k = K::decode(r)?;
-        let v = V::decode(r)?;
-        map.insert(k, v);
-    }
-    Ok(map)
 }
 
 /// Implements [`Snap`] for a struct by encoding its listed fields in
@@ -668,7 +497,7 @@ macro_rules! impl_snap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hasher::FastMap;
+    use crate::stats::RunningMean;
 
     fn round_trip<T: Snap + PartialEq + std::fmt::Debug>(v: T) {
         let mut w = SnapWriter::new();
@@ -694,24 +523,17 @@ mod tests {
         round_trip(Some(7u64));
         round_trip(Option::<u64>::None);
         round_trip(vec![1u32, 2, 3]);
-        round_trip(VecDeque::from(vec![9u64, 8]));
-        round_trip([1u16, 2, 3]);
         round_trip((1u8, 2u64));
-        round_trip((1u8, 2u64, String::from("x")));
-        round_trip(Box::new(5u32));
     }
 
     #[test]
     fn domain_types_round_trip() {
-        round_trip(RegClass::Fp);
-        round_trip(ArchReg::fp(3));
-        round_trip(PhysReg::new(129));
-        round_trip(SeqNum(77));
-        round_trip(Cycle(123_456));
-        round_trip(HistorySnapshot {
-            ghist: 0b1011,
-            path: 0x7fff,
-        });
+        round_trip(RunningMean::new());
+        let mut m = RunningMean::new();
+        for sample in [7, 3, u64::MAX] {
+            m.add(sample);
+        }
+        round_trip(m);
     }
 
     #[test]
@@ -740,18 +562,11 @@ mod tests {
 
     #[test]
     fn invalid_tags_are_corrupt() {
-        for (bytes, what) in [
-            (vec![2u8], "bool"),
-            (vec![9u8], "Option tag"),
-            (vec![5u8], "RegClass"),
-            (vec![200u8], "ArchReg"),
-        ] {
+        for (bytes, what) in [(vec![2u8], "bool"), (vec![9u8], "Option tag")] {
             let mut r = SnapReader::new(&bytes);
             let err = match what {
                 "bool" => bool::decode(&mut r).unwrap_err(),
-                "Option tag" => Option::<u8>::decode(&mut r).unwrap_err(),
-                "RegClass" => RegClass::decode(&mut r).unwrap_err(),
-                _ => ArchReg::decode(&mut r).unwrap_err(),
+                _ => Option::<u8>::decode(&mut r).unwrap_err(),
             };
             assert_eq!(err, SnapError::Corrupt { offset: 1, what });
         }
@@ -763,9 +578,9 @@ mod tests {
         let mut w = SnapWriter::new();
         write_header(&mut w, SNAPSHOT, DIGEST);
         let good = w.finish();
-        // Pinned so existing images keep loading: magic, version as u32 LE,
-        // digest as u64 LE.
-        assert_eq!(good, *b"RGSH\x02\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01");
+        // Pinned so images keep loading: magic, version as u32 LE, digest
+        // as u64 LE.
+        assert_eq!(good, *b"RGSH\x03\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01");
         let mut r = SnapReader::new(&good);
         read_header(&mut r, SNAPSHOT, DIGEST).unwrap();
         r.expect_eof().unwrap();
@@ -791,28 +606,6 @@ mod tests {
                 expected: 0x9999
             })
         );
-    }
-
-    #[test]
-    fn maps_encode_canonically() {
-        let mut a: FastMap<u64, u64> = FastMap::default();
-        let mut b: FastMap<u64, u64> = FastMap::default();
-        for k in [9u64, 3, 7, 1] {
-            a.insert(k, k * 2);
-        }
-        for k in [1u64, 7, 3, 9] {
-            b.insert(k, k * 2);
-        }
-        let enc = |m: &FastMap<u64, u64>| {
-            let mut w = SnapWriter::new();
-            encode_map_sorted(m, &mut w);
-            w.finish()
-        };
-        assert_eq!(enc(&a), enc(&b));
-        let bytes = enc(&a);
-        let decoded: FastMap<u64, u64> = decode_map(&mut SnapReader::new(&bytes)).unwrap();
-        assert_eq!(decoded, a);
-        assert_eq!(enc(&decoded), bytes);
     }
 
     #[test]

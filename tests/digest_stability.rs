@@ -57,7 +57,7 @@ fn scenario_paths() -> Vec<PathBuf> {
     paths
 }
 
-/// FNV-1a over the canonical snapshot encoding of `stats`.
+/// FNV-1a over the canonical `Snap` encoding of `stats`.
 fn stats_digest(stats: &SimStats) -> u64 {
     let mut w = SnapWriter::new();
     stats.encode(&mut w);
