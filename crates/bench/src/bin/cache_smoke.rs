@@ -5,14 +5,19 @@
 //!
 //! Accepts the standard scenario front-door flags (`--preset`,
 //! `--scenario`, `--warmup`, `--measure`, `--jobs`); defaults to the
-//! `smoke` preset.
+//! `smoke` preset. `--cache-dir` is refused: cells served from disk would
+//! skip the front end this gate measures.
 
 use regshare_bench::cli::run_front_door;
 use regshare_bench::run_scenario;
 use regshare_isa::stream_cache_stats;
 
 fn main() {
-    let (_args, scenario) = run_front_door("cache_smoke", "smoke");
+    let (args, scenario) = run_front_door("cache_smoke", "smoke");
+    if args.cache_dir.is_some() {
+        eprintln!("cache_smoke: --cache-dir is not supported (the gate must simulate every cell)");
+        std::process::exit(2);
+    }
 
     let run = || match run_scenario(&scenario) {
         Ok(report) => report,

@@ -14,18 +14,17 @@
 //!
 //! The whole (workload × config) matrix runs through the parallel sweep
 //! engine (`--jobs` workers), so wall clock scales with cores while the
-//! report stays byte-identical to a serial run.
+//! report stays byte-identical to a serial run. With `--cache-dir <dir>`
+//! every finished cell is stored in the content-addressed cell cache, so a
+//! killed run, rerun on the same directory, measures only the missing
+//! cells and still prints what an uninterrupted one does.
 
 use regshare_bench::checkpoint;
 use regshare_bench::cli::run_front_door;
 
 fn main() {
     let (args, scenario) = run_front_door("paper_report", "headline");
-    // Checkpoint-aware: with --checkpoint-file / --resume every finished
-    // cell is recorded, so a killed run resumes with only the missing
-    // cells and still prints what an uninterrupted one does; either way
-    // this is the parallel sweep.
-    match checkpoint::run_report(&scenario, &args.checkpointing) {
+    match checkpoint::run_report(&scenario, args.cache_dir.as_deref()) {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("paper_report: {e}");

@@ -13,39 +13,28 @@ use regshare_bench::{render_report, Table};
 
 fn main() {
     let (args, scenario) = run_front_door("smoke", "smoke");
-
-    // Non-default experiments get the standard report; the built-in smoke
-    // preset additionally prints its per-mechanism diagnostics below. Gate
-    // on how the scenario was selected, not on its self-declared name — a
-    // user file named "smoke" need not have the preset's variant labels.
-    // Both paths go through the checkpoint-aware runner, which is the plain
-    // parallel engine when no checkpointing is requested.
-    let is_builtin_smoke =
-        args.scenario_path.is_none() && args.preset.as_deref().unwrap_or("smoke") == "smoke";
-    if !is_builtin_smoke {
-        match checkpoint::run_report(&scenario, &args.checkpointing) {
-            Ok(report) => print!("{report}"),
-            Err(e) => {
-                eprintln!("smoke: {e}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
-
-    let grid = match checkpoint::run_sweep(&scenario, &args.checkpointing) {
-        Ok(grid) => grid,
+    // One sweep for every scenario (checkpointed into `--cache-dir` if
+    // given). Non-default experiments get the standard report only; the
+    // built-in smoke preset additionally prints its per-mechanism
+    // diagnostics below. Gate on how the scenario was selected, not on its
+    // self-declared name — a user file named "smoke" need not have the
+    // preset's variant labels.
+    let run = checkpoint::run_sweep(&scenario, args.cache_dir.as_deref()).and_then(|grid| {
+        let report = render_report(&scenario, &grid)?;
+        Ok((grid, report))
+    });
+    let (grid, report) = match run {
+        Ok(done) => done,
         Err(e) => {
             eprintln!("smoke: {e}");
             std::process::exit(1);
         }
     };
-    match render_report(&scenario, &grid) {
-        Ok(report) => print!("{report}"),
-        Err(e) => {
-            eprintln!("smoke: {e}");
-            std::process::exit(1);
-        }
+    print!("{report}");
+    let is_builtin_smoke =
+        args.scenario_path.is_none() && args.preset.as_deref().unwrap_or("smoke") == "smoke";
+    if !is_builtin_smoke {
+        return;
     }
 
     let mut t = Table::new(vec![

@@ -8,19 +8,18 @@
 //! --warmup <uops>     override the warmup window
 //! --measure <uops>    override the measured window
 //! --jobs <n>          override the sweep worker count
-//! --checkpoint-file <path>  record each finished cell in a resumable image
-//! --resume <file>     continue a checkpointed run from its image
+//! --cache-dir <dir>   take finished cells from <dir>, store new ones there
 //! --list-presets      list the built-in scenarios and exit
 //! --list-workloads    list the workload registry and exit
 //! --help              usage
 //! ```
 //!
 //! Flag > scenario file > default, in that order (see [`crate::options`]).
-//! The two checkpoint flags fill a [`Checkpointing`] run plan that is
-//! passed beside the scenario, never folded into it; giving either turns
-//! checkpointing on.
+//! `--cache-dir` names the content-addressed cell cache (the same flag and
+//! directory format as the serve daemon's) that checkpoints the run: it is
+//! passed beside the scenario to [`crate::checkpoint::run_sweep`], never
+//! folded into it.
 
-use crate::checkpoint::Checkpointing;
 use crate::options::RunOptions;
 use crate::scenario::{preset, Scenario, ScenarioError, SCENARIO_PRESETS};
 
@@ -33,8 +32,8 @@ pub struct CliArgs {
     pub preset: Option<String>,
     /// `--warmup` / `--measure` / `--jobs` overrides.
     pub overrides: RunOptions,
-    /// `--checkpoint-file <path>` and `--resume <file>`.
-    pub checkpointing: Checkpointing,
+    /// `--cache-dir <dir>`.
+    pub cache_dir: Option<String>,
     /// `--list-presets`.
     pub list_presets: bool,
     /// `--list-workloads`.
@@ -81,8 +80,7 @@ impl CliArgs {
                         .try_jobs(n)
                         .map_err(|e| format!("--jobs: {e}"))?;
                 }
-                "--checkpoint-file" => out.checkpointing.file = Some(value(&mut i)?),
-                "--resume" => out.checkpointing.resume = Some(value(&mut i)?),
+                "--cache-dir" => out.cache_dir = Some(value(&mut i)?),
                 "--list-presets" => out.list_presets = true,
                 "--list-workloads" => out.list_workloads = true,
                 "--help" | "-h" => out.help = true,
@@ -144,7 +142,7 @@ pub fn usage(bin: &str, default_preset: &str) -> String {
     format!(
         "usage: {bin} [--scenario <file> | --preset <name>] \
          [--warmup <uops>] [--measure <uops>] [--jobs <n>] \
-         [--checkpoint-file <path>] [--resume <file>] \
+         [--cache-dir <dir>] \
          [--list-presets] [--list-workloads]\n\
          default: --preset {default_preset}"
     )
@@ -219,35 +217,22 @@ mod tests {
         assert!(parse(&["--warmup"]).is_err());
         assert!(parse(&["--warmup", "lots"]).is_err());
         assert!(parse(&["--jobs", "0"]).is_err());
-        assert!(parse(&["--checkpoint-file"]).is_err());
+        assert!(parse(&["--cache-dir"]).is_err());
         assert!(parse(&["--frobnicate"]).is_err());
         assert!(parse(&["--scenario", "a", "--preset", "b"]).is_err());
     }
 
     #[test]
     fn checkpoint_flags_fill_the_run_plan() {
-        let a = parse(&["--preset", "smoke", "--checkpoint-file", "out.ckpt"]).unwrap();
-        assert_eq!(
-            a.checkpointing,
-            Checkpointing {
-                file: Some("out.ckpt".into()),
-                resume: None,
-            }
-        );
+        let a = parse(&["--preset", "smoke", "--cache-dir", "cells"]).unwrap();
+        assert_eq!(a.cache_dir.as_deref(), Some("cells"));
         // The plan never leaks into the experiment it runs.
         assert_eq!(
             a.resolve_scenario("headline").unwrap(),
             preset("smoke").unwrap()
         );
-
-        let a = parse(&["--preset", "smoke", "--resume", "out.ckpt"]).unwrap();
-        assert_eq!(
-            a.checkpointing,
-            Checkpointing {
-                resume: Some("out.ckpt".into()),
-                ..Checkpointing::default()
-            }
-        );
+        // Resuming is rerunning on the same directory: no `--resume`.
+        assert!(parse(&["--resume", "cells"]).is_err());
     }
 
     #[test]

@@ -40,9 +40,6 @@ pub struct Measurement {
     pub stats: SimStats,
 }
 
-// Checkpoint images record finished cells in this encoding.
-regshare_types::impl_snap!(Measurement { name, stats });
-
 impl Measurement {
     /// IPC over the measured window.
     pub fn ipc(&self) -> f64 {

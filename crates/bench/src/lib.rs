@@ -12,10 +12,14 @@
 //! jobs run on a `std::thread` worker pool and merge back in spec order, so
 //! output is byte-identical at any parallelism level. [`report`] renders
 //! the shared report format, and [`cli`] gives every binary the same
-//! `--scenario` / `--preset` / `--warmup` / `--measure` / `--jobs` flags.
+//! `--scenario` / `--preset` / `--warmup` / `--measure` / `--jobs` /
+//! `--cache-dir` flags. [`cache`] is the content-addressed store of
+//! finished cells that checkpointed sweeps ([`checkpoint`]) and the serve
+//! daemon share.
 
 #![deny(missing_docs)]
 
+pub mod cache;
 pub mod checkpoint;
 pub mod cli;
 pub mod digest;
@@ -27,8 +31,7 @@ pub mod scenario;
 pub mod sweep;
 pub mod table;
 
-pub use checkpoint::{CheckpointError, Checkpointing};
-pub use digest::{cell_digest, scenario_digest};
+pub use digest::cell_digest;
 pub use fuzz::FuzzOptions;
 pub use harness::{measure_program, Measurement, RunWindow};
 pub use options::{RunOptions, ZeroJobsError, DEFAULT_MEASURE, DEFAULT_WARMUP};

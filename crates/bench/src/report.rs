@@ -65,8 +65,7 @@ pub fn render_report(scenario: &Scenario, grid: &SweepGrid) -> Result<String, Sw
 /// report — the whole `--scenario` front door in one call. Sweep-time
 /// failures surface as [`ScenarioError::Sweep`].
 pub fn run_scenario(scenario: &Scenario) -> Result<String, ScenarioError> {
-    let grid = scenario.to_sweep()?.run()?;
-    Ok(render_report(scenario, &grid)?)
+    crate::checkpoint::run_report(scenario, None)
 }
 
 #[cfg(test)]

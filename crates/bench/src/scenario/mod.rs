@@ -154,6 +154,9 @@ pub enum ScenarioError {
     /// accessor was asked for an unknown label (see
     /// [`SweepError`](crate::sweep::SweepError)).
     Sweep(crate::sweep::SweepError),
+    /// A checkpointed sweep could not use its cell cache (see
+    /// [`CacheError`](crate::cache::CacheError)).
+    Cache(crate::cache::CacheError),
     /// An error in one specific variant, wrapped with its label.
     InVariant {
         /// The variant's label.
@@ -282,6 +285,7 @@ impl std::fmt::Display for ScenarioError {
             }
             ScenarioError::Config(e) => write!(f, "invalid core config: {e}"),
             ScenarioError::Sweep(e) => write!(f, "sweep failed: {e}"),
+            ScenarioError::Cache(e) => write!(f, "{e}"),
             ScenarioError::InVariant { label, source } => {
                 write!(f, "variant {label:?}: {source}")
             }
@@ -295,6 +299,7 @@ impl std::error::Error for ScenarioError {
         match self {
             ScenarioError::Config(e) => Some(e),
             ScenarioError::Sweep(e) => Some(e),
+            ScenarioError::Cache(e) => Some(e),
             ScenarioError::InVariant { source, .. } => Some(&**source),
             _ => None,
         }
@@ -310,6 +315,12 @@ impl From<ConfigError> for ScenarioError {
 impl From<crate::sweep::SweepError> for ScenarioError {
     fn from(e: crate::sweep::SweepError) -> ScenarioError {
         ScenarioError::Sweep(e)
+    }
+}
+
+impl From<crate::cache::CacheError> for ScenarioError {
+    fn from(e: crate::cache::CacheError) -> ScenarioError {
+        ScenarioError::Cache(e)
     }
 }
 
@@ -799,6 +810,13 @@ impl Scenario {
             msg: e.to_string(),
         })?;
         Scenario::parse(&text_src)
+    }
+
+    /// The host file this scenario assembles (`kind = "asm"` with
+    /// `path = ...`), if any. The serve daemon refuses such a request, and
+    /// a checkpointed sweep refuses to cache its cells.
+    pub fn host_path(&self) -> Option<&str> {
+        self.asm.as_ref()?.path.as_deref()
     }
 
     /// The one resolution pass behind [`Scenario::validate`],

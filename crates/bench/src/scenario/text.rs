@@ -530,8 +530,8 @@ mod tests {
                 key: "isrb_size".into()
             }
         );
-        // Checkpointing is a run plan (the CLI's --checkpoint-file /
-        // --resume), not part of an experiment, so the removed keys are
+        // Where a run is checkpointed is a run plan (the CLI's
+        // --cache-dir), not part of an experiment, so the removed keys are
         // unknown. (The first is spelled with concat! so a search of the
         // tree for it finds no live use.)
         for (key, value) in [

@@ -18,6 +18,7 @@
 //! built exactly once (lazily, by whichever worker first needs it) and
 //! shared read-only across every configuration variant.
 
+use crate::digest::cell_digest;
 use crate::harness::{measure_program, Measurement, RunWindow};
 use crate::options::RunOptions;
 use regshare_core::CoreConfig;
@@ -163,13 +164,16 @@ impl SweepSpec {
         self
     }
 
-    /// The workload name of every cell, in row-major order
-    /// (`w * variants + v`).
-    pub(crate) fn cell_workloads(&self) -> Vec<String> {
-        let n = self.variants.len();
+    /// Every cell's workload name and content address ([`cell_digest`]),
+    /// in row-major order (`w * variants + v`).
+    pub(crate) fn cell_keys(&self) -> Vec<(String, u64)> {
         self.workloads
             .iter()
-            .flat_map(|w| std::iter::repeat_n(w.name.clone(), n))
+            .flat_map(|w| {
+                self.variants
+                    .iter()
+                    .map(|v| (w.name.clone(), cell_digest(&w.name, &v.cfg, self.window)))
+            })
             .collect()
     }
 
@@ -199,7 +203,8 @@ impl SweepSpec {
     /// [`SweepSpec::run`] over only the cells `cells` does not already
     /// hold (row-major, `cells[w * variants + v]`), handing each newly
     /// measured cell to `on_cell` with its index as soon as it finishes —
-    /// the hook behind resumable checkpointed sweeps. Workloads whose
+    /// the hook behind checkpointed sweeps, which fill `cells` from the
+    /// cell cache and store what `on_cell` hands back. Workloads whose
     /// cells are all recorded are never built.
     pub(crate) fn run_resumed(
         self,
@@ -533,7 +538,19 @@ mod tests {
         assert_eq!(handed_back.into_inner().unwrap(), vec![(1, both)]);
         assert_eq!(grid.get(0, "base").unwrap().stats, recorded.stats);
         assert_eq!(grid.get(0, "both").unwrap().stats, both);
-        assert_eq!(spec().cell_workloads(), ["mini", "mini"]);
+        let keys = spec().cell_keys();
+        assert_eq!(keys[0].0, "mini");
+        assert_eq!(
+            keys[1],
+            (
+                "mini".to_string(),
+                cell_digest(
+                    "mini",
+                    &CoreConfig::hpca16().with_me().with_smb(),
+                    tiny_window()
+                )
+            )
+        );
     }
 
     #[test]

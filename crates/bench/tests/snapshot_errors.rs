@@ -1,26 +1,88 @@
-//! Malformed checkpoint images: every way an image can be wrong maps to
-//! the matching typed error when a sweep resumes from it — never a panic,
-//! and never a sweep resumed from cells recorded for another experiment.
+//! Cache entries that do not belong to a cell are never served.
 //!
-//! The images are written here by hand in the documented layout (the
-//! `RGSH` header, then one `Option<(workload, SimStats)>` slot per cell in
-//! row-major order), so a layout change in the writer fails these tests
-//! too.
+//! `Cache::load` decodes bytes from disk that a crash, a full disk or
+//! another program may have cut short or altered: every prefix and every
+//! flipped byte of an entry comes back as `Ok` or a typed `CacheError` —
+//! never a panic. (Each corruption's exact error is pinned by the cache
+//! module's unit tests and the serve crate's `cache_correctness` suite.)
+//! And a checkpointed sweep never takes a cell recorded for another
+//! experiment: a different configuration or program is a different
+//! content address, so its cells are measured afresh.
 
-use regshare_bench::checkpoint::{run_sweep, CheckpointError, Checkpointing};
-use regshare_bench::{scenario_digest, RunOptions, Scenario, VariantSpec};
-use regshare_core::SimStats;
-use regshare_types::snapshot::{
-    write_header, Snap, SnapError, SnapWriter, FORMAT_VERSION, SNAPSHOT,
+use regshare_bench::cache::{Cache, CacheError};
+use regshare_bench::checkpoint::run_sweep;
+use regshare_bench::{
+    cell_digest, measure_program, RunOptions, RunWindow, Scenario, SweepGrid, VariantSpec,
 };
+use regshare_core::{CoreConfig, SimStats};
+use regshare_types::snapshot::SnapError;
+use std::path::PathBuf;
 
-/// Header layout: magic `[0..4]`, version `[4..8]`, digest `[8..16]`.
-const VERSION_OFFSET: usize = 4;
-const DIGEST_OFFSET: usize = 8;
-const HEADER_LEN: usize = 16;
+const KEY: u64 = 0x5eed;
+
+/// A fresh, empty per-test directory.
+fn tmp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("regshare-entry-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A fresh cache holding one real measured entry under [`KEY`], and the
+/// entry's bytes.
+fn entry(tag: &str) -> (Cache, PathBuf, Vec<u8>) {
+    let dir = tmp_dir(tag);
+    let cache = Cache::open(&dir, None).unwrap();
+    let window = RunWindow {
+        warmup: 300,
+        measure: 900,
+    };
+    let program = regshare_workloads::mini().build();
+    let m = measure_program("mini", &program, CoreConfig::hpca16(), window);
+    cache.store(KEY, "mini", &m.stats).unwrap();
+    let bytes = std::fs::read(cache.entry_path(KEY)).unwrap();
+    assert_eq!(cache.load(KEY, "mini"), Ok(Some(m.stats)));
+    (cache, dir, bytes)
+}
+
+/// Writes `bytes` as [`KEY`]'s entry and loads it.
+fn load(cache: &Cache, bytes: &[u8]) -> Result<Option<SimStats>, CacheError> {
+    std::fs::write(cache.entry_path(KEY), bytes).unwrap();
+    cache.load(KEY, "mini")
+}
+
+/// Truncating the entry at *any* prefix, down to the empty file, must
+/// produce a typed error, not a panic or a hit.
+#[test]
+fn truncation_sweep_never_panics() {
+    let (cache, dir, bytes) = entry("cut");
+    for cut in 0..bytes.len() {
+        match load(&cache, &bytes[..cut]) {
+            Err(CacheError::Entry(SnapError::ShortRead { .. })) if cut == 0 => {}
+            Err(CacheError::Entry(_)) if cut > 0 => {}
+            other => panic!("cut at {cut}: unexpected {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Flipping any byte must never panic; it may fail with a typed error or —
+/// for bytes that only affect the stored counters — load successfully.
+#[test]
+fn byte_flip_sweep_never_panics() {
+    let (cache, dir, bytes) = entry("flip");
+    for offset in 0..bytes.len() {
+        let mut mutated = bytes.clone();
+        mutated[offset] ^= 0x55;
+        match load(&cache, &mutated) {
+            Ok(Some(_)) | Err(CacheError::Entry(_)) => {}
+            other => panic!("flip at {offset}: unexpected {other:?}"),
+        }
+    }
+    std::fs::remove_dir_all(dir).unwrap();
+}
 
 fn scenario() -> Scenario {
-    Scenario::builder("image_errors")
+    Scenario::builder("entry_errors")
         .options(RunOptions::default().warmup(300).measure(900).jobs(2))
         .workloads(&["crafty", "hmmer"])
         .variant("base", VariantSpec::hpca16())
@@ -29,179 +91,63 @@ fn scenario() -> Scenario {
         .unwrap()
 }
 
-/// A complete image for `scenario`: every cell recorded, so a resume that
-/// accepts it measures nothing.
-fn full_image(scenario: &Scenario) -> Vec<u8> {
-    let cells: Vec<Option<(String, SimStats)>> = ["crafty", "crafty", "hmmer", "hmmer"]
-        .iter()
-        .map(|name| Some((name.to_string(), SimStats::default())))
-        .collect();
-    let mut w = SnapWriter::new();
-    write_header(&mut w, SNAPSHOT, scenario_digest(scenario));
-    cells.encode(&mut w);
-    w.finish()
-}
-
-/// Writes `bytes` to a per-test file and resumes `scenario` from it.
-fn resume(tag: &str, scenario: &Scenario, bytes: &[u8]) -> Result<(), CheckpointError> {
-    let path = std::env::temp_dir()
-        .join(format!("regshare-image-{}-{tag}.ckpt", std::process::id()))
-        .to_str()
-        .unwrap()
-        .to_string();
-    std::fs::write(&path, bytes).unwrap();
-    let plan = Checkpointing {
-        resume: Some(path.clone()),
-        ..Checkpointing::default()
-    };
-    let result = run_sweep(scenario, &plan).map(|_| ());
-    let _ = std::fs::remove_file(&path);
-    result
-}
-
-fn image_error(result: Result<(), CheckpointError>) -> SnapError {
-    match result {
-        Err(CheckpointError::Snapshot(e)) => e,
-        other => panic!("expected an image decode error, got {other:?}"),
+/// The stats stored for every cell of [`scenario`]: a value no
+/// simulation produces, so a served entry is told from a measured cell.
+fn sentinel() -> SimStats {
+    SimStats {
+        cycles: 7,
+        ..SimStats::default()
     }
+}
+
+/// Sweeps `other` over a directory holding [`sentinel`] stats for every
+/// cell of [`scenario`]; returns that grid and a fresh run of `other`.
+fn sweep_over_recorded_cells(tag: &str, other: &Scenario) -> (SweepGrid, SweepGrid) {
+    let s = scenario();
+    let dir = tmp_dir(tag);
+    let cache = Cache::open(&dir, None).unwrap();
+    for w in &s.workloads {
+        for (_, spec) in &s.variants {
+            let key = cell_digest(w, &spec.to_config().unwrap(), s.options.window());
+            cache.store(key, w, &sentinel()).unwrap();
+        }
+    }
+    let grid = run_sweep(other, Some(dir.to_str().unwrap())).unwrap();
+    std::fs::remove_dir_all(dir).unwrap();
+    (grid, other.to_sweep().unwrap().run().unwrap())
 }
 
 #[test]
-fn every_corruption_yields_the_matching_typed_error() {
-    let s = scenario();
-    let bytes = full_image(&s);
-    resume("intact", &s, &bytes).expect("the intact image resumes");
-
-    struct Case {
-        name: &'static str,
-        mutate: fn(Vec<u8>) -> Vec<u8>,
-        expect: fn(&SnapError) -> bool,
-    }
-    let cases = [
-        Case {
-            name: "foreign magic",
-            mutate: |mut b| {
-                b[0] ^= 0xFF;
-                b
-            },
-            expect: |e| matches!(e, SnapError::BadMagic { .. }),
-        },
-        Case {
-            name: "future format version",
-            mutate: |mut b| {
-                b[VERSION_OFFSET..VERSION_OFFSET + 4]
-                    .copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-                b
-            },
-            expect: |e| {
-                matches!(
-                    e,
-                    SnapError::BadVersion { found, supported }
-                        if *found == FORMAT_VERSION + 1 && *supported == FORMAT_VERSION
-                )
-            },
-        },
-        Case {
-            name: "flipped scenario digest",
-            mutate: |mut b| {
-                b[DIGEST_OFFSET] ^= 0xFF;
-                b
-            },
-            expect: |e| matches!(e, SnapError::ConfigDigestMismatch { .. }),
-        },
-        Case {
-            name: "truncated mid-header",
-            mutate: |b| b[..HEADER_LEN - 3].to_vec(),
-            expect: |e| matches!(e, SnapError::ShortRead { .. }),
-        },
-        Case {
-            name: "truncated mid-body",
-            mutate: |b| {
-                let keep = b.len() / 2;
-                b[..keep].to_vec()
-            },
-            expect: |e| matches!(e, SnapError::ShortRead { .. } | SnapError::Corrupt { .. }),
-        },
-        Case {
-            name: "last byte missing",
-            mutate: |mut b| {
-                b.pop();
-                b
-            },
-            expect: |e| matches!(e, SnapError::ShortRead { .. } | SnapError::Corrupt { .. }),
-        },
-        Case {
-            name: "trailing garbage",
-            mutate: |mut b| {
-                b.push(0xAB);
-                b
-            },
-            expect: |e| matches!(e, SnapError::Corrupt { what, .. } if *what == "trailing bytes"),
-        },
-        Case {
-            name: "empty stream",
-            mutate: |_| Vec::new(),
-            expect: |e| matches!(e, SnapError::ShortRead { .. }),
-        },
-    ];
-
-    for case in &cases {
-        let e = image_error(resume("case", &s, &(case.mutate)(bytes.clone())));
-        assert!(
-            (case.expect)(&e),
-            "{}: wrong error variant: {e:?}",
-            case.name
+fn wrong_configuration_is_refused_by_digest() {
+    let mut other = scenario();
+    other.variants[1].1 = VariantSpec::preset("me_smb").isrb_entries(24);
+    let (grid, fresh) = sweep_over_recorded_cells("config", &other);
+    for w in 0..2 {
+        // The unchanged machine is the same cell; the changed one is not.
+        assert_eq!(grid.get(w, "base").unwrap().stats, sentinel());
+        assert_eq!(
+            grid.get(w, "both").unwrap().stats,
+            fresh.get(w, "both").unwrap().stats
         );
     }
 }
 
 #[test]
-fn wrong_configuration_is_refused_by_digest() {
-    let s = scenario();
-    let mut other = s.clone();
-    other.variants[1].1 = VariantSpec::preset("me_smb").isrb_entries(24);
-    let e = image_error(resume("config", &other, &full_image(&s)));
-    assert!(matches!(e, SnapError::ConfigDigestMismatch { .. }), "{e:?}");
-}
-
-#[test]
 fn wrong_program_is_refused_by_digest() {
     let s = scenario();
-    let other = Scenario::builder("image_errors")
+    let other = Scenario::builder("entry_errors")
         .options(s.options)
         .workloads(&["crafty", "mcf"])
         .variant("base", VariantSpec::hpca16())
         .variant("both", VariantSpec::preset("me_smb"))
         .build()
         .unwrap();
-    let e = image_error(resume("program", &other, &full_image(&s)));
-    assert!(matches!(e, SnapError::ConfigDigestMismatch { .. }), "{e:?}");
-}
-
-/// Truncating the image at *any* prefix must produce a typed error, not a
-/// panic or a successful resume.
-#[test]
-fn truncation_sweep_never_panics() {
-    let s = scenario();
-    let bytes = full_image(&s);
-    for cut in 0..bytes.len() {
-        image_error(resume("cut", &s, &bytes[..cut]));
-    }
-}
-
-/// Flipping any byte after the header must never panic; it may fail with
-/// a typed error or — for bytes that only affect recorded stats or empty
-/// a slot — resume successfully.
-#[test]
-fn byte_flip_sweep_never_panics() {
-    let s = scenario();
-    let bytes = full_image(&s);
-    for offset in (HEADER_LEN..bytes.len()).step_by(7) {
-        let mut mutated = bytes.clone();
-        mutated[offset] ^= 0x55;
-        match resume("flip", &s, &mutated) {
-            Ok(()) | Err(CheckpointError::Snapshot(_) | CheckpointError::Invalid(_)) => {}
-            Err(other) => panic!("flip at {offset}: unexpected {other:?}"),
-        }
+    let (grid, fresh) = sweep_over_recorded_cells("program", &other);
+    for label in ["base", "both"] {
+        assert_eq!(grid.get(0, label).unwrap().stats, sentinel());
+        assert_eq!(
+            grid.get(1, label).unwrap().stats,
+            fresh.get(1, label).unwrap().stats
+        );
     }
 }

@@ -26,7 +26,7 @@
 //! byte-identical whether the request was served cold, warm, or half-and-
 //! half — provenance is reported *next to* the body, never inside it.
 
-use crate::cache::{Cache, CacheError};
+use regshare_bench::cache::{Cache, CacheError};
 use regshare_bench::digest::cell_digest;
 use regshare_bench::harness::{measure_program, Measurement, RunWindow};
 use regshare_bench::report::render_report;
@@ -381,7 +381,7 @@ impl Engine {
 
     /// Serves one request. See the module docs for the full pipeline.
     pub fn submit(&self, scenario: &Scenario, format: Format) -> Result<ServeResponse, ServeError> {
-        if scenario.asm.as_ref().is_some_and(|a| a.path.is_some()) {
+        if scenario.host_path().is_some() {
             return Err(ServeError::HostPath);
         }
         let (workloads, configs) = scenario.resolve()?;
@@ -412,20 +412,11 @@ impl Engine {
             }
             first_of_key.insert(key, i);
 
-            match self.shared.cache.load(key, name) {
-                Ok(Some(hit)) => {
-                    stats[i] = Some(hit);
-                    from_cache[i] = true;
-                    self.shared.hits.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // A damaged entry is recomputed, not served wrong and
-                    // not fatal to the request.
-                    eprintln!("serve: discarding bad cache entry {key:016x}: {e}");
-                    let _ = std::fs::remove_file(self.shared.cache.entry_path(key));
-                }
+            if let Some(hit) = self.shared.cache.lookup(key, name) {
+                stats[i] = Some(hit);
+                from_cache[i] = true;
+                self.shared.hits.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
 
             // Build (or reuse) the program before taking the in-flight

@@ -4,12 +4,14 @@
 //! most of the matrix was simulated before. This crate keeps a process
 //! (and an on-disk cache) alive between requests instead:
 //!
-//! * [`cache`] — one file per simulated cell, addressed by
+//! * [`Cache`] — `regshare_bench`'s content-addressed store of finished
+//!   cells, one file per cell addressed by
 //!   [`regshare_bench::cell_digest`] (workload × config digest × window),
-//!   written atomically, validated on read with the snapshot layer's
-//!   typed errors, LRU-evicted under an optional byte cap. Because the
-//!   sweep engine is deterministic, a cache hit is byte-identical to a
-//!   recomputation — caching is invisible in the output.
+//!   written atomically, validated on read with typed errors, LRU-evicted
+//!   under an optional byte cap. Because the sweep engine is
+//!   deterministic, a cache hit is byte-identical to a recomputation —
+//!   caching is invisible in the output — and a checkpointed batch run
+//!   (`paper_report --cache-dir`) can warm the daemon's directory.
 //! * [`engine`] — the scheduler: per-cell cache lookup, coalescing of
 //!   concurrent identical requests onto one computation, a bounded
 //!   worker pool behind admission control (typed
@@ -28,14 +30,13 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod client;
 pub mod engine;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{Cache, CacheError};
 pub use client::Connection;
 pub use engine::{Engine, EngineConfig, Format, ServeError, ServeResponse};
 pub use protocol::{Reply, Request};
+pub use regshare_bench::cache::{Cache, CacheError};
 pub use server::{Server, ServerStop};

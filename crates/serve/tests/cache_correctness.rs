@@ -1,13 +1,16 @@
 //! Cache correctness: cold/warm byte-identity, persistence across engine
-//! restarts, eviction that never corrupts survivors, and typed rejection
-//! of damaged entries (mirroring the checkpoint image's `snapshot_errors`
-//! suite).
+//! restarts, one store shared with checkpointed batch sweeps, eviction
+//! that never corrupts survivors, and typed rejection of damaged entries
+//! (the decoder's no-panic sweeps are in `regshare-bench`'s
+//! `snapshot_errors` suite).
 
+use regshare_bench::cache::CACHE_FORMAT_VERSION;
+use regshare_bench::checkpoint::run_sweep;
 use regshare_bench::digest::cell_digest;
 use regshare_bench::{render_report, RunOptions, Scenario, VariantSpec};
 use regshare_core::{CoreConfig, SimStats};
-use regshare_serve::cache::{Cache, CacheError};
 use regshare_serve::engine::{Engine, EngineConfig, Format};
+use regshare_serve::{Cache, CacheError};
 use regshare_types::snapshot::SnapError;
 use std::path::{Path, PathBuf};
 
@@ -94,6 +97,22 @@ fn cache_survives_engine_restart() {
     assert_eq!(warm.cached, 4);
     assert_eq!(eng2.computed_cells(), 0);
     assert_eq!(warm.body, cold_body);
+}
+
+#[test]
+fn batch_sweep_warms_the_daemon_cache() {
+    let dir = TempDir::new("batch-warm");
+    let scenario = tiny("serve_batch_warm");
+    let grid = run_sweep(&scenario, Some(&dir.as_str())).unwrap();
+
+    // A daemon on the batch run's directory simulates nothing and serves
+    // exactly the batch report.
+    let eng = engine(&dir);
+    let warm = eng.submit(&scenario, Format::Table).unwrap();
+    assert_eq!(warm.computed, 0);
+    assert_eq!(warm.cached, 4);
+    assert_eq!(eng.computed_cells(), 0);
+    assert_eq!(warm.body, render_report(&scenario, &grid).unwrap());
 }
 
 #[test]
@@ -202,13 +221,13 @@ fn truncated_and_foreign_entries_are_rejected_with_typed_errors() {
         other => panic!("truncated entry: got {other:?}"),
     }
 
-    // A checkpoint image is not a cache entry: BadMagic.
-    let mut snap = good.clone();
-    snap[..4].copy_from_slice(b"RGSH");
-    std::fs::write(&path, &snap).unwrap();
+    // Another kind of file: BadMagic.
+    let mut foreign = good.clone();
+    foreign[..4].copy_from_slice(b"NOPE");
+    std::fs::write(&path, &foreign).unwrap();
     match cache.load(7, "w7") {
         Err(CacheError::Entry(SnapError::BadMagic { found })) => {
-            assert_eq!(&found, b"RGSH");
+            assert_eq!(&found, b"NOPE");
         }
         other => panic!("foreign magic: got {other:?}"),
     }
@@ -220,7 +239,7 @@ fn truncated_and_foreign_entries_are_rejected_with_typed_errors() {
     match cache.load(7, "w7") {
         Err(CacheError::Entry(SnapError::BadVersion { found, supported })) => {
             assert_eq!(found, 99);
-            assert_eq!(supported, regshare_types::cache::CACHE_FORMAT_VERSION);
+            assert_eq!(supported, CACHE_FORMAT_VERSION);
         }
         other => panic!("foreign version: got {other:?}"),
     }

@@ -119,8 +119,9 @@ fn unknown_variant_is_one_err_line_and_daemon_keeps_serving() {
     assert!(err.starts_with("scenario: "), "got {err:?}");
     assert!(!err.contains('\n'), "error replies are one line");
 
-    // Checkpointing is a run plan, not part of a scenario: a request that
-    // carries the key is refused the same way, naming it.
+    // Where a run is checkpointed is a run plan, not part of a scenario: a
+    // request that carries the removed key is refused the same way,
+    // naming it.
     let ckpt = "name = \"ckpt_key\"\nresume_from = \"x.ckpt\"\n\
                 \n[variant.base]\npreset = \"hpca16\"\n";
     let err = conn.run(ckpt, Format::Table).unwrap().unwrap_err();

@@ -19,7 +19,6 @@
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod counter;
 pub mod hasher;
 pub mod snapshot;

@@ -1,22 +1,13 @@
-//! Dependency-free binary codec for the workspace's on-disk streams:
-//! checkpoint images (`regshare-bench`'s `checkpoint` module) and, under
-//! their own [`StreamFormat`], the serve daemon's cached results.
+//! Dependency-free binary codec for the workspace's on-disk streams: the
+//! entries of the content-addressed cell cache (`regshare-bench`'s
+//! `cache` module), which hold a workload name and its measured
+//! `SimStats`.
 //!
 //! Streams are flat little-endian byte sequences with length-prefixed
 //! containers — no self-description, no schema evolution, no external
-//! crates. A checkpoint image starts with a fixed header:
-//!
-//! ```text
-//! offset  size  field
-//! 0       4     magic  b"RGSH"
-//! 4       4     format version (u32 LE), currently 3
-//! 8       8     context digest (u64 LE): the scenario the image belongs to
-//! ```
-//!
-//! The header is the compatibility contract: [`read_header`] refuses a
-//! stream whose magic, version or digest does not match, with a typed
-//! [`SnapError`] naming exactly what disagreed. Everything after the
-//! header is the payload, written value by value via [`Snap`].
+//! crates. Every read is bounds-checked, and every malformed input maps to
+//! a typed [`SnapError`] naming what was wrong; values are written and read
+//! one by one via [`Snap`].
 //!
 //! # Examples
 //!
@@ -24,29 +15,20 @@
 //! use regshare_types::snapshot::{Snap, SnapReader, SnapWriter};
 //!
 //! let mut w = SnapWriter::new();
-//! vec![1u64, 2, 3].encode(&mut w);
+//! Some(7u64).encode(&mut w);
 //! let bytes = w.finish();
 //! let mut r = SnapReader::new(&bytes);
-//! assert_eq!(Vec::<u64>::decode(&mut r).unwrap(), vec![1, 2, 3]);
+//! assert_eq!(Option::<u64>::decode(&mut r).unwrap(), Some(7));
 //! ```
 
 use std::fmt;
-
-/// Magic bytes opening every checkpoint image.
-pub const MAGIC: [u8; 4] = *b"RGSH";
-
-/// Current checkpoint image format version. Bump on ANY layout change —
-/// there is deliberately no migration path: an old image is refused, never
-/// reinterpreted. Version 3: one finished-cell slot per sweep cell, and no
-/// machine state.
-pub const FORMAT_VERSION: u32 = 3;
 
 /// Typed decode failure. Every malformed input maps to one of these —
 /// decoding never panics.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SnapError {
-    /// The stream does not start with its format's magic ([`MAGIC`] for a
-    /// checkpoint image) — not this kind of stream at all.
+    /// The stream does not start with its format's magic — not this kind
+    /// of stream at all.
     BadMagic {
         /// The four bytes actually found.
         found: [u8; 4],
@@ -55,16 +37,15 @@ pub enum SnapError {
     BadVersion {
         /// Version recorded in the stream.
         found: u32,
-        /// The only version this build reads ([`FORMAT_VERSION`] for a
-        /// checkpoint image).
+        /// The only version this build reads.
         supported: u32,
     },
-    /// The stream was recorded for a different experiment: another
-    /// scenario or window (an image), or another cell (a cache entry).
+    /// The stream was recorded for a different experiment: a cache entry
+    /// stored under another cell's address.
     ConfigDigestMismatch {
         /// Digest recorded in the stream.
         found: u64,
-        /// Digest of the experiment being resumed or looked up.
+        /// Digest of the cell being looked up.
         expected: u64,
     },
     /// The stream ended before a field could be read in full.
@@ -132,26 +113,10 @@ impl SnapWriter {
         SnapWriter::default()
     }
 
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing has been written yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// Appends one byte.
     #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
-    }
-
-    /// Appends a `u16`, little-endian.
-    #[inline]
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u32`, little-endian.
@@ -204,11 +169,6 @@ impl<'a> SnapReader<'a> {
         SnapReader { buf, pos: 0 }
     }
 
-    /// Current byte offset.
-    pub fn pos(&self) -> usize {
-        self.pos
-    }
-
     /// Bytes left in the stream.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
@@ -242,12 +202,6 @@ impl<'a> SnapReader<'a> {
     #[inline]
     pub fn get_u8(&mut self) -> Result<u8, SnapError> {
         Ok(self.get_bytes(1)?[0])
-    }
-
-    /// Reads a little-endian `u16`.
-    #[inline]
-    pub fn get_u16(&mut self) -> Result<u16, SnapError> {
-        Ok(u16::from_le_bytes(self.get_bytes(2)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u32`.
@@ -296,58 +250,6 @@ impl<'a> SnapReader<'a> {
     }
 }
 
-/// The identity of a versioned stream: the magic its header opens with and
-/// the one format version this build reads. Every stream header is
-/// `magic`, then `version` (u32 LE), then a digest (u64 LE).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamFormat {
-    /// Magic bytes opening the stream.
-    pub magic: [u8; 4],
-    /// Format version written, and the only one read.
-    pub version: u32,
-}
-
-/// Checkpoint images: [`MAGIC`], [`FORMAT_VERSION`].
-pub const SNAPSHOT: StreamFormat = StreamFormat {
-    magic: MAGIC,
-    version: FORMAT_VERSION,
-};
-
-/// Writes a stream header: `format`'s magic and version, then `digest`.
-pub fn write_header(w: &mut SnapWriter, format: StreamFormat, digest: u64) {
-    w.put_bytes(&format.magic);
-    w.put_u32(format.version);
-    w.put_u64(digest);
-}
-
-/// Reads and validates a stream header against `format` and
-/// `expected_digest`, in check order: magic, version, digest.
-pub fn read_header(
-    r: &mut SnapReader<'_>,
-    format: StreamFormat,
-    expected_digest: u64,
-) -> Result<(), SnapError> {
-    let magic: [u8; 4] = r.get_bytes(4)?.try_into().unwrap();
-    if magic != format.magic {
-        return Err(SnapError::BadMagic { found: magic });
-    }
-    let version = r.get_u32()?;
-    if version != format.version {
-        return Err(SnapError::BadVersion {
-            found: version,
-            supported: format.version,
-        });
-    }
-    let digest = r.get_u64()?;
-    if digest != expected_digest {
-        return Err(SnapError::ConfigDigestMismatch {
-            found: digest,
-            expected: expected_digest,
-        });
-    }
-    Ok(())
-}
-
 /// An owned value with a canonical binary encoding.
 pub trait Snap: Sized {
     /// Appends the canonical encoding of `self`.
@@ -371,9 +273,6 @@ macro_rules! snap_prim {
     };
 }
 
-snap_prim!(u8, put_u8, get_u8);
-snap_prim!(u16, put_u16, get_u16);
-snap_prim!(u32, put_u32, get_u32);
 snap_prim!(u64, put_u64, get_u64);
 snap_prim!(u128, put_u128, get_u128);
 
@@ -383,37 +282,6 @@ impl Snap for usize {
     }
     fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
         usize::try_from(r.get_u64()?).map_err(|_| r.corrupt("usize"))
-    }
-}
-
-impl Snap for i32 {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u32(*self as u32);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.get_u32()? as i32)
-    }
-}
-
-impl Snap for i64 {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u64(*self as u64);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(r.get_u64()? as i64)
-    }
-}
-
-impl Snap for bool {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_u8(u8::from(*self));
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.get_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(r.corrupt("bool")),
-        }
     }
 }
 
@@ -448,36 +316,10 @@ impl<T: Snap> Snap for Option<T> {
     }
 }
 
-impl<T: Snap> Snap for Vec<T> {
-    fn encode(&self, w: &mut SnapWriter) {
-        w.put_len(self.len());
-        for v in self {
-            v.encode(w);
-        }
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let len = r.get_len()?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<A: Snap, B: Snap> Snap for (A, B) {
-    fn encode(&self, w: &mut SnapWriter) {
-        self.0.encode(w);
-        self.1.encode(w);
-    }
-    fn decode(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok((A::decode(r)?, B::decode(r)?))
-    }
-}
-
 /// Implements [`Snap`] for a struct by encoding its listed fields in
 /// order. The field list is the layout contract — keep it exhaustive and
-/// stable, and bump [`FORMAT_VERSION`] when it changes.
+/// stable, and bump the format version of every stream embedding the type
+/// when it changes.
 #[macro_export]
 macro_rules! impl_snap {
     ($ty:ty { $($field:ident),* $(,)? }) => {
@@ -510,20 +352,12 @@ mod tests {
 
     #[test]
     fn primitives_round_trip() {
-        round_trip(0xabu8);
-        round_trip(0xab_cdu16);
-        round_trip(0xdead_beefu32);
         round_trip(u64::MAX);
         round_trip(u128::MAX - 7);
         round_trip(usize::MAX);
-        round_trip(-42i32);
-        round_trip(i64::MIN);
-        round_trip(true);
         round_trip(String::from("snapshot"));
         round_trip(Some(7u64));
         round_trip(Option::<u64>::None);
-        round_trip(vec![1u32, 2, 3]);
-        round_trip((1u8, 2u64));
     }
 
     #[test]
@@ -555,56 +389,20 @@ mod tests {
         let bytes = w.finish();
         let mut r = SnapReader::new(&bytes);
         assert!(matches!(
-            Vec::<u64>::decode(&mut r),
+            String::decode(&mut r),
             Err(SnapError::ShortRead { .. })
         ));
     }
 
     #[test]
     fn invalid_tags_are_corrupt() {
-        for (bytes, what) in [(vec![2u8], "bool"), (vec![9u8], "Option tag")] {
-            let mut r = SnapReader::new(&bytes);
-            let err = match what {
-                "bool" => bool::decode(&mut r).unwrap_err(),
-                _ => Option::<u8>::decode(&mut r).unwrap_err(),
-            };
-            assert_eq!(err, SnapError::Corrupt { offset: 1, what });
-        }
-    }
-
-    #[test]
-    fn header_checks_in_order() {
-        const DIGEST: u64 = 0x0102_0304_0506_0708;
-        let mut w = SnapWriter::new();
-        write_header(&mut w, SNAPSHOT, DIGEST);
-        let good = w.finish();
-        // Pinned so images keep loading: magic, version as u32 LE, digest
-        // as u64 LE.
-        assert_eq!(good, *b"RGSH\x03\0\0\0\x08\x07\x06\x05\x04\x03\x02\x01");
-        let mut r = SnapReader::new(&good);
-        read_header(&mut r, SNAPSHOT, DIGEST).unwrap();
-        r.expect_eof().unwrap();
-
-        let mut bad_magic = good.clone();
-        bad_magic[0] = b'X';
-        assert!(matches!(
-            read_header(&mut SnapReader::new(&bad_magic), SNAPSHOT, DIGEST),
-            Err(SnapError::BadMagic { .. })
-        ));
-
-        let mut bad_version = good.clone();
-        bad_version[4] = FORMAT_VERSION as u8 + 1;
-        assert!(matches!(
-            read_header(&mut SnapReader::new(&bad_version), SNAPSHOT, DIGEST),
-            Err(SnapError::BadVersion { .. })
-        ));
-
+        let mut r = SnapReader::new(&[9u8]);
         assert_eq!(
-            read_header(&mut SnapReader::new(&good), SNAPSHOT, 0x9999),
-            Err(SnapError::ConfigDigestMismatch {
-                found: DIGEST,
-                expected: 0x9999
-            })
+            Option::<u64>::decode(&mut r).unwrap_err(),
+            SnapError::Corrupt {
+                offset: 1,
+                what: "Option tag"
+            }
         );
     }
 
@@ -615,7 +413,7 @@ mod tests {
             (
                 SnapError::BadVersion {
                     found: 9,
-                    supported: FORMAT_VERSION,
+                    supported: 1,
                 },
                 "version 9",
             ),
@@ -637,9 +435,9 @@ mod tests {
             (
                 SnapError::Corrupt {
                     offset: 3,
-                    what: "bool",
+                    what: "Option tag",
                 },
-                "invalid bool",
+                "invalid Option tag",
             ),
         ];
         for (err, needle) in cases {
