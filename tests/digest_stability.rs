@@ -5,7 +5,8 @@
 //! - `arch_digest`, the committed architectural trace, captured from the
 //!   pre-refactor core;
 //! - a timing digest, FNV-1a over the `SimStats::encode` bytes of the
-//!   end-of-run stats (cycles and every counter).
+//!   end-of-run stats (cycles, every counter and the tracker's
+//!   `TrackerStats`).
 //!
 //! This is the contract that lets the hot loop be refactored for speed:
 //! any change to the committed trace or to the cycle count — however
@@ -85,7 +86,7 @@ fn capture() -> String {
                     .unwrap_or_else(|e| panic!("{path:?} variant {label}: {e}"));
                 let mut sim = Simulator::new(&program, cfg);
                 sim.run(WARMUP);
-                sim.run(MEASURE);
+                let end = sim.run(MEASURE);
                 sim.audit_registers().unwrap_or_else(|e| {
                     panic!(
                         "{}/{}/{label}: register audit failed: {e}",
@@ -98,7 +99,7 @@ fn capture() -> String {
                     scenario.name,
                     wl.name,
                     sim.arch_digest(),
-                    stats_digest(sim.stats())
+                    stats_digest(&end)
                 )
                 .expect("write to string");
             }
