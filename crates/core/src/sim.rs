@@ -337,9 +337,13 @@ impl Simulator {
     }
 
     /// Statistics so far (cycles/committed are running totals; use
-    /// [`SimStats::delta_since`] for warmup-excluded windows).
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
+    /// [`SimStats::delta_since`] for warmup-excluded windows), with the
+    /// tracker's live counters spliced in. `SimStats` is `Copy` (plain
+    /// counters), so this is a flat copy — no heap clone.
+    pub fn stats(&self) -> SimStats {
+        let mut s = self.stats;
+        s.tracker = self.tracker.stats();
+        s
     }
 
     /// A digest of the committed architectural trace (pc, result) — two
@@ -384,16 +388,7 @@ impl Simulator {
             );
         }
         self.commit_budget = None;
-        self.snapshot_stats()
-    }
-
-    /// The stats snapshot `run` returns: `SimStats` is `Copy`
-    /// (plain counters), so this is a flat copy with the live tracker
-    /// counters spliced in — no per-call heap clone.
-    fn snapshot_stats(&self) -> SimStats {
-        let mut s = self.stats;
-        s.tracker = self.tracker.stats();
-        s
+        self.stats()
     }
 
     /// Advances one cycle.

@@ -19,24 +19,24 @@ fn main() {
 
     let mut base = Simulator::new(&program, CoreConfig::hpca16());
     base.run(40_000);
-    let b0 = *base.stats();
+    let b0 = base.stats();
     base.run(160_000);
     let b = base.stats().delta_since(&b0);
 
     let mut smb = Simulator::new(&program, CoreConfig::hpca16().with_smb());
     // Observe the predictor warming up: bypass rate per 20K-µ-op epoch.
     println!("epoch  bypassed-loads  bypass-misses  traps  false-deps");
-    let mut last = *smb.stats();
+    let mut last = smb.stats();
     for epoch in 0..10 {
         smb.run(20_000);
         let d = smb.stats().delta_since(&last);
-        last = *smb.stats();
+        last = smb.stats();
         println!(
             "{epoch:>5}  {:>14}  {:>13}  {:>5}  {:>10}",
             d.loads_bypassed, d.bypass_mispredictions, d.memory_traps, d.false_dependencies
         );
     }
-    let s0 = *smb.stats();
+    let s0 = smb.stats();
     smb.run(160_000);
     let s = smb.stats().delta_since(&s0);
     println!(

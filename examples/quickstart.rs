@@ -17,7 +17,7 @@ fn main() {
     // Baseline: Table 1 machine, no sharing optimizations.
     let mut base = Simulator::new(&program, CoreConfig::hpca16());
     base.run(50_000); // warm caches and predictors
-    let b0 = *base.stats();
+    let b0 = base.stats();
     base.run(200_000);
     let base_stats = base.stats().delta_since(&b0);
 

@@ -86,7 +86,7 @@ fn capture() -> String {
                     .unwrap_or_else(|e| panic!("{path:?} variant {label}: {e}"));
                 let mut sim = Simulator::new(&program, cfg);
                 sim.run(WARMUP);
-                let end = sim.run(MEASURE);
+                sim.run(MEASURE);
                 sim.audit_registers().unwrap_or_else(|e| {
                     panic!(
                         "{}/{}/{label}: register audit failed: {e}",
@@ -99,7 +99,7 @@ fn capture() -> String {
                     scenario.name,
                     wl.name,
                     sim.arch_digest(),
-                    stats_digest(&end)
+                    stats_digest(&sim.stats())
                 )
                 .expect("write to string");
             }
