@@ -19,12 +19,13 @@
 //! killed run, rerun on the same directory, measures only the missing
 //! cells and still prints what an uninterrupted one does.
 
-use regshare_bench::checkpoint;
 use regshare_bench::cli::run_front_door;
+use regshare_bench::render_report;
 
 fn main() {
     let (args, scenario) = run_front_door("paper_report", "headline");
-    match checkpoint::run_report(&scenario, args.cache_dir.as_deref()) {
+    let run = scenario.run(args.cache_dir.as_deref());
+    match run.and_then(|grid| Ok(render_report(&scenario, &grid)?)) {
         Ok(report) => print!("{report}"),
         Err(e) => {
             eprintln!("paper_report: {e}");

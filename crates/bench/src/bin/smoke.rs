@@ -7,7 +7,6 @@
 //! smoke preset's `me`/`smb` variants). Output is byte-identical at any
 //! `--jobs` level; CI diffs a serial against a sharded run.
 
-use regshare_bench::checkpoint;
 use regshare_bench::cli::run_front_door;
 use regshare_bench::{render_report, Table};
 
@@ -19,7 +18,7 @@ fn main() {
     // diagnostics below. Gate on how the scenario was selected, not on its
     // self-declared name — a user file named "smoke" need not have the
     // preset's variant labels.
-    let run = checkpoint::run_sweep(&scenario, args.cache_dir.as_deref()).and_then(|grid| {
+    let run = scenario.run(args.cache_dir.as_deref()).and_then(|grid| {
         let report = render_report(&scenario, &grid)?;
         Ok((grid, report))
     });

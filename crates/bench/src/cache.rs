@@ -2,9 +2,9 @@
 //!
 //! One file per simulated (workload × configuration × window) cell, named
 //! by the cell's content address ([`crate::cell_digest`], rendered as 16
-//! hex digits + `.cell`). The serve daemon and the checkpointed batch
-//! sweep ([`crate::checkpoint::run_sweep`]) read and write the same
-//! directory: a cell either of them finished is a hit for both.
+//! hex digits + `.cell`). The serve daemon and the cached batch sweep
+//! ([`crate::Scenario::run`] with a cache directory) read and write the
+//! same directory: a cell either of them finished is a hit for both.
 //!
 //! Entry layout, flat little-endian in the [`regshare_types::snapshot`]
 //! codec:

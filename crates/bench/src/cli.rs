@@ -17,8 +17,7 @@
 //! Flag > scenario file > default, in that order (see [`crate::options`]).
 //! `--cache-dir` names the content-addressed cell cache (the same flag and
 //! directory format as the serve daemon's) that checkpoints the run: it is
-//! passed beside the scenario to [`crate::checkpoint::run_sweep`], never
-//! folded into it.
+//! passed beside the scenario to [`Scenario::run`], never folded into it.
 
 use crate::options::RunOptions;
 use crate::scenario::{preset, Scenario, ScenarioError, SCENARIO_PRESETS};

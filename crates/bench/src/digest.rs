@@ -2,7 +2,7 @@
 //!
 //! [`cell_digest`] keys every finished (workload × configuration × window)
 //! cell in the [`crate::cache`] directory that the serve daemon and the
-//! checkpointed batch sweep share. It is keyed by the *resolved*
+//! cached batch sweep share. It is keyed by the *resolved*
 //! [`CoreConfig::digest`], so two variants spelled differently but
 //! simulating identically share one address.
 //!

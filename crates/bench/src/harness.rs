@@ -1,9 +1,9 @@
 //! Run windows and the one measurement protocol shared by all experiments.
 //!
-//! Every measured cell — the parallel sweep engine (and so the
-//! checkpointed sweep, which drives it) and the serve daemon — goes
-//! through [`measure_program`]: a fresh machine runs the warmup, runs the
-//! measured window, and subtracts the warmup-end stats.
+//! Every measured cell — the parallel sweep engine (cached or not) and
+//! the serve daemon — goes through [`measure_program`]: a fresh machine
+//! runs the warmup, runs the measured window, and subtracts the
+//! warmup-end stats.
 
 use regshare_core::{CoreConfig, SimStats, Simulator};
 use regshare_isa::Program;

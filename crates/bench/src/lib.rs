@@ -14,13 +14,12 @@
 //! the shared report format, and [`cli`] gives every binary the same
 //! `--scenario` / `--preset` / `--warmup` / `--measure` / `--jobs` /
 //! `--cache-dir` flags. [`cache`] is the content-addressed store of
-//! finished cells that checkpointed sweeps ([`checkpoint`]) and the serve
-//! daemon share.
+//! finished cells that cached sweeps ([`Scenario::run`] with a cache
+//! directory) and the serve daemon share.
 
 #![deny(missing_docs)]
 
 pub mod cache;
-pub mod checkpoint;
 pub mod cli;
 pub mod digest;
 pub mod fuzz;
@@ -37,8 +36,8 @@ pub use harness::{measure_program, Measurement, RunWindow};
 pub use options::{RunOptions, ZeroJobsError, DEFAULT_MEASURE, DEFAULT_WARMUP};
 pub use report::{render_report, run_scenario};
 pub use scenario::{
-    preset, valid_name, AsmSource, FuzzSource, Scenario, ScenarioBuilder, ScenarioError,
-    VariantSpec, CONFIG_PRESETS, SCENARIO_PRESETS,
+    preset, valid_name, Scenario, ScenarioBuilder, ScenarioError, VariantSpec, WorkloadSource,
+    CONFIG_PRESETS, SCENARIO_PRESETS,
 };
 pub use sweep::{panic_detail, SweepError, SweepGrid, SweepRow, SweepSpec, Variant};
 pub use table::Table;

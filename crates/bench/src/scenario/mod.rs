@@ -3,7 +3,7 @@
 //!
 //! The paper's results are a matrix of (workload × core configuration ×
 //! tracker geometry) points. A [`Scenario`] captures one such matrix as
-//! *data* — a name, a workload list, run options, and an ordered list of
+//! *data* — a name, a workload source, run options, and an ordered list of
 //! labelled [`VariantSpec`]s — so an experiment can be named, validated,
 //! checked into the repo as a `.scenario` file ([`Scenario::parse`] /
 //! [`Scenario::render`], a dependency-free TOML subset), shared, and driven
@@ -22,8 +22,9 @@
 
 mod text;
 
+use crate::cache::{Cache, CacheError};
 use crate::options::RunOptions;
-use crate::sweep::SweepSpec;
+use crate::sweep::{SweepError, SweepGrid, SweepSpec};
 use regshare_core::{ConfigError, CoreConfig, DistancePredictorKind, TrackerKind};
 use regshare_distance::{DdtConfig, NosqConfig};
 use regshare_refcount::IsrbConfig;
@@ -106,8 +107,9 @@ pub enum ScenarioError {
         /// The offending key.
         key: &'static str,
     },
-    /// A fuzz scenario that also lists `workloads` (the generated family
-    /// *is* the workload list).
+    /// A fuzz scenario file that also lists `workloads` (the generated
+    /// family *is* the workload list). A text-parser rejection: a
+    /// [`WorkloadSource`] holds one source.
     FuzzWithWorkloads,
     /// A `profile` value naming no fuzz generator profile.
     UnknownFuzzProfile(String),
@@ -118,14 +120,12 @@ pub enum ScenarioError {
         /// The offending key.
         key: &'static str,
     },
-    /// An asm scenario that also lists `workloads` (the kernel selection
-    /// *is* the workload list).
+    /// An asm scenario file that also lists `workloads` (the kernel
+    /// selection *is* the workload list). A text-parser rejection.
     AsmWithWorkloads,
-    /// A scenario carrying both a fuzz family and an asm source; only one
-    /// generated workload source can apply.
-    AsmWithFuzz,
-    /// An asm scenario naming both an embedded `kernel` and an external
-    /// `path` — pick one (or neither, for the whole corpus).
+    /// An asm scenario file naming both an embedded `kernel` and an
+    /// external `path` — pick one (or neither, for the whole corpus). A
+    /// text-parser rejection.
     AsmKernelAndPath,
     /// A `kernel` value naming no embedded corpus kernel.
     UnknownAsmKernel(String),
@@ -151,12 +151,10 @@ pub enum ScenarioError {
     /// The resolved [`CoreConfig`] is structurally impossible.
     Config(ConfigError),
     /// The sweep failed after validation — a worker job died or a grid
-    /// accessor was asked for an unknown label (see
-    /// [`SweepError`](crate::sweep::SweepError)).
-    Sweep(crate::sweep::SweepError),
-    /// A checkpointed sweep could not use its cell cache (see
-    /// [`CacheError`](crate::cache::CacheError)).
-    Cache(crate::cache::CacheError),
+    /// accessor was asked for an unknown label (see [`SweepError`]).
+    Sweep(SweepError),
+    /// A cached sweep could not use its cell cache (see [`CacheError`]).
+    Cache(CacheError),
     /// An error in one specific variant, wrapped with its label.
     InVariant {
         /// The variant's label.
@@ -256,10 +254,6 @@ impl std::fmt::Display for ScenarioError {
                 f,
                 "an asm scenario selects its workload list; drop `workloads = [...]`"
             ),
-            ScenarioError::AsmWithFuzz => write!(
-                f,
-                "a scenario cannot combine a fuzz family with an asm source"
-            ),
             ScenarioError::AsmKernelAndPath => {
                 write!(f, "an asm scenario takes `kernel` or `path`, not both")
             }
@@ -312,14 +306,19 @@ impl From<ConfigError> for ScenarioError {
     }
 }
 
-impl From<crate::sweep::SweepError> for ScenarioError {
-    fn from(e: crate::sweep::SweepError) -> ScenarioError {
-        ScenarioError::Sweep(e)
+impl From<SweepError> for ScenarioError {
+    /// A failed cache store keeps its cache identity; every other sweep
+    /// failure is wrapped.
+    fn from(e: SweepError) -> ScenarioError {
+        match e {
+            SweepError::Cache(e) => ScenarioError::Cache(e),
+            e => ScenarioError::Sweep(e),
+        }
     }
 }
 
-impl From<crate::cache::CacheError> for ScenarioError {
-    fn from(e: crate::cache::CacheError) -> ScenarioError {
+impl From<CacheError> for ScenarioError {
+    fn from(e: CacheError) -> ScenarioError {
         ScenarioError::Cache(e)
     }
 }
@@ -719,34 +718,41 @@ impl VariantSpec {
     }
 }
 
-/// A generated workload family: `kind = "fuzz"` in a `.scenario` file.
-/// Expands to `programs` consecutive fuzz cases
-/// (`fuzz-<profile>-<seed>` … `fuzz-<profile>-<seed+programs-1>`) in place
-/// of a hand-listed workload set.
+/// Where a scenario's workloads come from — exactly one source, so a
+/// scenario cannot name two. In a `.scenario` file the source is the
+/// `kind` key plus its selector keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FuzzSource {
-    /// Generator profile name (see `regshare_workloads::fuzz::profiles`).
-    pub profile: String,
-    /// First seed of the family.
-    pub seed: u64,
-    /// Family size.
-    pub programs: u32,
+pub enum WorkloadSource {
+    /// Registry names (suite names, `fuzz-<profile>-<seed>`,
+    /// `asm-<kernel>`); empty means the full 36-workload suite
+    /// (`kind = "suite"`, the default).
+    Suite(Vec<String>),
+    /// A generated family (`kind = "fuzz"`): `programs` consecutive fuzz
+    /// cases, `fuzz-<profile>-<seed>` … `fuzz-<profile>-<seed+programs-1>`.
+    Fuzz {
+        /// Generator profile name (see `regshare_workloads::fuzz::profiles`).
+        profile: String,
+        /// First seed of the family.
+        seed: u64,
+        /// Family size.
+        programs: u32,
+    },
+    /// The whole embedded `programs/*.asm` corpus (`kind = "asm"` with no
+    /// selector key).
+    AsmCorpus,
+    /// One embedded corpus kernel by short name (`kernel = "quicksort"`;
+    /// see `regshare_workloads::asm::CORPUS`).
+    AsmKernel(String),
+    /// An external assembly file (`path = "my.asm"`), read and assembled
+    /// when workloads resolve, with typed errors
+    /// ([`ScenarioError::AsmParse`]).
+    AsmPath(String),
 }
 
-/// An assembled-kernel workload source: `kind = "asm"` in a `.scenario`
-/// file. Selects the embedded `programs/*.asm` corpus (no keys), one
-/// kernel from it (`kernel = "quicksort"`), or an external assembly file
-/// (`path = "my.asm"`), which is read and assembled when workloads
-/// resolve.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsmSource {
-    /// Embedded corpus kernel short name (see
-    /// `regshare_workloads::asm::CORPUS`); `None` selects the whole corpus
-    /// unless `path` is given.
-    pub kernel: Option<String>,
-    /// External assembly file, assembled at resolution time with typed
-    /// errors ([`ScenarioError::AsmParse`]).
-    pub path: Option<String>,
+impl Default for WorkloadSource {
+    fn default() -> WorkloadSource {
+        WorkloadSource::Suite(Vec::new())
+    }
 }
 
 /// A named, validated experiment: workloads × labelled variants, plus run
@@ -761,16 +767,8 @@ pub struct Scenario {
     /// Window sizes and parallelism; unset fields fall back to the
     /// defaults.
     pub options: RunOptions,
-    /// Workload names, resolved against the registry (suite names and
-    /// `fuzz-<profile>-<seed>`); empty means the full 36-workload suite —
-    /// unless [`Scenario::fuzz`] supplies a generated family instead.
-    pub workloads: Vec<String>,
-    /// Generated workload family (`kind = "fuzz"`); mutually exclusive
-    /// with a non-empty `workloads` list.
-    pub fuzz: Option<FuzzSource>,
-    /// Assembled-kernel source (`kind = "asm"`); mutually exclusive with
-    /// both `fuzz` and a non-empty `workloads` list.
-    pub asm: Option<AsmSource>,
+    /// Where the workloads come from.
+    pub workloads: WorkloadSource,
     /// Ordered labelled variants; the first is the baseline column.
     pub variants: Vec<(String, VariantSpec)>,
 }
@@ -783,9 +781,7 @@ impl Scenario {
                 name: name.into(),
                 note: String::new(),
                 options: RunOptions::default(),
-                workloads: Vec::new(),
-                fuzz: None,
-                asm: None,
+                workloads: WorkloadSource::default(),
                 variants: Vec::new(),
             },
         }
@@ -814,13 +810,30 @@ impl Scenario {
 
     /// The host file this scenario assembles (`kind = "asm"` with
     /// `path = ...`), if any. The serve daemon refuses such a request, and
-    /// a checkpointed sweep refuses to cache its cells.
+    /// a cached sweep refuses to cache its cells.
     pub fn host_path(&self) -> Option<&str> {
-        self.asm.as_ref()?.path.as_deref()
+        match &self.workloads {
+            WorkloadSource::AsmPath(path) => Some(path),
+            _ => None,
+        }
+    }
+
+    /// The number of (workload × variant) cells this scenario runs,
+    /// counted from the workload source without resolving or building
+    /// anything — so a caller can bound a request before paying for it.
+    pub fn cell_count(&self) -> usize {
+        let workloads = match &self.workloads {
+            WorkloadSource::Suite(names) if names.is_empty() => suite().len(),
+            WorkloadSource::Suite(names) => names.len(),
+            WorkloadSource::Fuzz { programs, .. } => *programs as usize,
+            WorkloadSource::AsmCorpus => regshare_workloads::asm::CORPUS.len(),
+            WorkloadSource::AsmKernel(_) | WorkloadSource::AsmPath(_) => 1,
+        };
+        workloads.saturating_mul(self.variants.len())
     }
 
     /// The one resolution pass behind [`Scenario::validate`],
-    /// [`Scenario::to_sweep`] (and so the checkpointed sweep) and the serve
+    /// [`Scenario::to_sweep`] (and so [`Scenario::run`]) and the serve
     /// daemon: checks every name and option, and returns the workloads and
     /// the per-variant configurations, so no caller resolves twice.
     pub fn resolve(&self) -> Result<(Vec<Workload>, Vec<CoreConfig>), ScenarioError> {
@@ -856,68 +869,55 @@ impl Scenario {
         self.resolve().map(|_| ())
     }
 
-    /// The workload list this scenario runs over — the generated fuzz
-    /// family, the assembled-kernel source, the named workloads, or the
-    /// full suite when none is given — with unknown names rejected as
-    /// typed errors.
+    /// The workload list this scenario's source names — the full suite
+    /// for an empty suite list — with unknown names rejected as typed
+    /// errors.
     pub fn resolve_workloads(&self) -> Result<Vec<Workload>, ScenarioError> {
-        if self.fuzz.is_some() && self.asm.is_some() {
-            return Err(ScenarioError::AsmWithFuzz);
-        }
-        if let Some(asm) = &self.asm {
-            if !self.workloads.is_empty() {
-                return Err(ScenarioError::AsmWithWorkloads);
-            }
-            return match (&asm.kernel, &asm.path) {
-                (Some(_), Some(_)) => Err(ScenarioError::AsmKernelAndPath),
-                (Some(kernel), None) => AsmSpec::new(kernel)
-                    .map(|spec| vec![spec.workload()])
-                    .ok_or_else(|| ScenarioError::UnknownAsmKernel(kernel.clone())),
-                (None, Some(path)) => {
-                    if path.is_empty() || !valid_note(path) {
-                        return Err(ScenarioError::InvalidAsmPath(path.clone()));
-                    }
-                    let src = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
-                        path: path.clone(),
-                        msg: e.to_string(),
-                    })?;
-                    let stem = std::path::Path::new(path)
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default();
-                    check_name("asm kernel", &stem)?;
-                    AsmSpec::from_source(stem, src)
-                        .map(|spec| vec![spec.workload()])
-                        .map_err(|e| ScenarioError::AsmParse {
-                            path: path.clone(),
-                            msg: e.to_string(),
-                        })
+        match &self.workloads {
+            WorkloadSource::Suite(names) if names.is_empty() => Ok(suite()),
+            WorkloadSource::Suite(names) => {
+                for name in names {
+                    check_name("workload", name)?;
                 }
-                (None, None) => Ok(regshare_workloads::asm::corpus_workloads()),
-            };
-        }
-        if let Some(fuzz) = &self.fuzz {
-            if !self.workloads.is_empty() {
-                return Err(ScenarioError::FuzzWithWorkloads);
+                try_by_names(names).map_err(ScenarioError::UnknownWorkload)
             }
-            if fuzz.programs == 0 {
-                return Err(ScenarioError::ZeroFuzzPrograms);
-            }
-            return (0..fuzz.programs as u64)
+            WorkloadSource::Fuzz { programs: 0, .. } => Err(ScenarioError::ZeroFuzzPrograms),
+            WorkloadSource::Fuzz {
+                profile,
+                seed,
+                programs,
+            } => (0..u64::from(*programs))
                 .map(|i| {
-                    FuzzSpec::new(fuzz.profile.clone(), fuzz.seed.wrapping_add(i))
+                    FuzzSpec::new(profile.clone(), seed.wrapping_add(i))
                         .map(|spec| spec.workload())
                         .map_err(ScenarioError::UnknownFuzzProfile)
                 })
-                .collect();
+                .collect(),
+            WorkloadSource::AsmCorpus => Ok(regshare_workloads::asm::corpus_workloads()),
+            WorkloadSource::AsmKernel(kernel) => AsmSpec::new(kernel)
+                .map(|spec| vec![spec.workload()])
+                .ok_or_else(|| ScenarioError::UnknownAsmKernel(kernel.clone())),
+            WorkloadSource::AsmPath(path) => {
+                if path.is_empty() || !valid_note(path) {
+                    return Err(ScenarioError::InvalidAsmPath(path.clone()));
+                }
+                let src = std::fs::read_to_string(path).map_err(|e| ScenarioError::Io {
+                    path: path.clone(),
+                    msg: e.to_string(),
+                })?;
+                let stem = std::path::Path::new(path)
+                    .file_stem()
+                    .map(|s| s.to_string_lossy().into_owned())
+                    .unwrap_or_default();
+                check_name("asm kernel", &stem)?;
+                AsmSpec::from_source(stem, src)
+                    .map(|spec| vec![spec.workload()])
+                    .map_err(|e| ScenarioError::AsmParse {
+                        path: path.clone(),
+                        msg: e.to_string(),
+                    })
+            }
         }
-        if self.workloads.is_empty() {
-            return Ok(suite());
-        }
-        for name in &self.workloads {
-            check_name("workload", name)?;
-        }
-        try_by_names(&self.workloads).map_err(ScenarioError::UnknownWorkload)
     }
 
     /// Validates the scenario and expands it into a ready-to-run
@@ -933,6 +933,29 @@ impl Scenario {
             spec = spec.variant(label.clone(), cfg);
         }
         Ok(spec)
+    }
+
+    /// Validates the scenario and runs its sweep, against the cell cache
+    /// in `cache_dir` (created if missing; the serve daemon shares it) when
+    /// one is named: a killed run, rerun on the same directory, measures
+    /// only the missing cells and returns the uninterrupted grid.
+    ///
+    /// # Errors
+    ///
+    /// [`ScenarioError`]s for invalid scenarios and failed cells;
+    /// [`ScenarioError::Cache`] for a directory that cannot be opened or
+    /// written, and for an asm `path` scenario under a cache directory
+    /// ([`CacheError::HostPath`]), refused before the directory is created.
+    pub fn run(&self, cache_dir: Option<&str>) -> Result<SweepGrid, ScenarioError> {
+        let spec = self.to_sweep()?;
+        let spec = match (cache_dir, &self.workloads) {
+            (None, _) => spec,
+            (Some(_), WorkloadSource::AsmPath(path)) => {
+                return Err(CacheError::HostPath { path: path.clone() }.into())
+            }
+            (Some(dir), _) => spec.cache(Cache::open(dir, None)?),
+        };
+        Ok(spec.run()?)
     }
 }
 
@@ -971,54 +994,45 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Names the workloads to run (replacing any previous list).
+    /// Names the workloads to run (replacing any previous source).
     pub fn workloads(mut self, names: &[&str]) -> Self {
-        self.scenario.workloads = names.iter().map(|s| s.to_string()).collect();
+        let names = names.iter().map(|s| s.to_string()).collect();
+        self.scenario.workloads = WorkloadSource::Suite(names);
         self
     }
 
-    /// Runs over a generated fuzz family instead of named workloads
-    /// (`kind = "fuzz"` in scenario files).
+    /// Runs over a generated fuzz family instead (`kind = "fuzz"` in
+    /// scenario files), replacing any previous source.
     pub fn fuzz(mut self, profile: impl Into<String>, seed: u64, programs: u32) -> Self {
-        self.scenario.fuzz = Some(FuzzSource {
+        self.scenario.workloads = WorkloadSource::Fuzz {
             profile: profile.into(),
             seed,
             programs,
-        });
-        self.scenario.asm = None;
+        };
         self
     }
 
     /// Runs over the whole embedded `programs/*.asm` corpus
-    /// (`kind = "asm"` with no selector keys in scenario files).
+    /// (`kind = "asm"` with no selector keys in scenario files),
+    /// replacing any previous source.
     pub fn asm_corpus(mut self) -> Self {
-        self.scenario.asm = Some(AsmSource {
-            kernel: None,
-            path: None,
-        });
-        self.scenario.fuzz = None;
+        self.scenario.workloads = WorkloadSource::AsmCorpus;
         self
     }
 
     /// Runs over one embedded corpus kernel (`kind = "asm"` +
-    /// `kernel = "<name>"` in scenario files).
+    /// `kernel = "<name>"` in scenario files), replacing any previous
+    /// source.
     pub fn asm_kernel(mut self, kernel: impl Into<String>) -> Self {
-        self.scenario.asm = Some(AsmSource {
-            kernel: Some(kernel.into()),
-            path: None,
-        });
-        self.scenario.fuzz = None;
+        self.scenario.workloads = WorkloadSource::AsmKernel(kernel.into());
         self
     }
 
     /// Runs over an external assembly file, read and assembled when
-    /// workloads resolve (`kind = "asm"` + `path = "<file>"`).
+    /// workloads resolve (`kind = "asm"` + `path = "<file>"`), replacing
+    /// any previous source.
     pub fn asm_path(mut self, path: impl Into<String>) -> Self {
-        self.scenario.asm = Some(AsmSource {
-            kernel: None,
-            path: Some(path.into()),
-        });
-        self.scenario.fuzz = None;
+        self.scenario.workloads = WorkloadSource::AsmPath(path.into());
         self
     }
 
@@ -1074,7 +1088,8 @@ mod tests {
         for (name, _) in SCENARIO_PRESETS {
             let s = preset(name).expect("preset exists");
             assert_eq!(s.name, name);
-            s.validate().expect("preset validates");
+            let (workloads, configs) = s.resolve().expect("preset validates");
+            assert_eq!(s.cell_count(), workloads.len() * configs.len(), "{name}");
         }
         assert!(preset("nope").is_none());
     }
@@ -1285,6 +1300,12 @@ mod tests {
         assert_eq!(workloads.len(), 3);
         assert_eq!(workloads[0].name, "fuzz-memory-10");
         assert_eq!(workloads[2].name, "fuzz-memory-12");
+        // Counting cells builds nothing, not even four billion programs.
+        let huge = Scenario::builder("f")
+            .fuzz("memory", 1, u32::MAX)
+            .variant("a", VariantSpec::hpca16())
+            .variant("b", VariantSpec::hpca16());
+        assert_eq!(huge.scenario.cell_count(), 2 * u32::MAX as usize);
 
         let err = Scenario::builder("f")
             .fuzz("doom", 1, 2)
@@ -1299,14 +1320,6 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, ScenarioError::ZeroFuzzPrograms);
-
-        let err = Scenario::builder("f")
-            .workloads(&["crafty"])
-            .fuzz("memory", 1, 2)
-            .variant("base", VariantSpec::hpca16())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ScenarioError::FuzzWithWorkloads);
 
         // Individual fuzz names also resolve through the registry path.
         let s = Scenario::builder("mixed")
@@ -1344,35 +1357,18 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ScenarioError::UnknownAsmKernel("doom".into()));
 
-        let err = Scenario::builder("a")
+        // Each source setter replaces the previous source: a scenario
+        // holds one (the text parser rejects a file naming two).
+        let s = Scenario::builder("a")
             .workloads(&["crafty"])
-            .asm_corpus()
-            .variant("base", VariantSpec::hpca16())
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ScenarioError::AsmWithWorkloads);
-
-        // kernel + path (only reachable by hand-mutation) is rejected.
-        let mut s = Scenario::builder("a")
-            .asm_kernel("matmul")
-            .variant("base", VariantSpec::hpca16())
-            .build()
-            .unwrap();
-        s.asm.as_mut().unwrap().path = Some("x.asm".into());
-        assert_eq!(s.validate().unwrap_err(), ScenarioError::AsmKernelAndPath);
-
-        // So is a hand-set fuzz family alongside an asm source.
-        let mut s = Scenario::builder("a")
+            .fuzz("memory", 1, 2)
+            .asm_path("x.asm")
             .asm_corpus()
             .variant("base", VariantSpec::hpca16())
             .build()
             .unwrap();
-        s.fuzz = Some(FuzzSource {
-            profile: "balanced".into(),
-            seed: 1,
-            programs: 2,
-        });
-        assert_eq!(s.validate().unwrap_err(), ScenarioError::AsmWithFuzz);
+        assert_eq!(s.workloads, WorkloadSource::AsmCorpus);
+        assert_eq!(s.host_path(), None);
 
         // `asm-<kernel>` names also resolve through the registry path.
         let s = Scenario::builder("mixed")

@@ -37,7 +37,7 @@
 //! `parse(render(scenario))` is the identity — the round-trip guarantees
 //! the proptest in `tests/scenario_roundtrip.rs` pins down.
 
-use super::{AsmSource, FuzzSource, Scenario, ScenarioError, VariantSpec};
+use super::{Scenario, ScenarioError, VariantSpec, WorkloadSource};
 use crate::options::RunOptions;
 
 /// One parsed right-hand-side value.
@@ -120,36 +120,40 @@ fn parse_value(line: usize, s: &str) -> Result<Value, ScenarioError> {
     Err(syntax(line, format!("cannot parse value {s:?}")))
 }
 
-fn expect_int(line: usize, key: &str, v: Value) -> Result<u64, ScenarioError> {
+fn wrong_type(line: usize, key: &str, expected: &'static str) -> ScenarioError {
+    ScenarioError::WrongType {
+        line,
+        key: key.to_string(),
+        expected,
+    }
+}
+
+/// An integer narrowed to its field's type with `try_from`: a value that
+/// does not fit is a [`ScenarioError::WrongType`] saying `fits`, never a
+/// silent wrap.
+fn expect_int<T: TryFrom<u64>>(
+    line: usize,
+    key: &str,
+    v: Value,
+    fits: &'static str,
+) -> Result<T, ScenarioError> {
     match v {
-        Value::Int(n) => Ok(n),
-        _ => Err(ScenarioError::WrongType {
-            line,
-            key: key.to_string(),
-            expected: "an integer",
-        }),
+        Value::Int(n) => T::try_from(n).map_err(|_| wrong_type(line, key, fits)),
+        _ => Err(wrong_type(line, key, "an integer")),
     }
 }
 
 fn expect_bool(line: usize, key: &str, v: Value) -> Result<bool, ScenarioError> {
     match v {
         Value::Bool(b) => Ok(b),
-        _ => Err(ScenarioError::WrongType {
-            line,
-            key: key.to_string(),
-            expected: "a boolean",
-        }),
+        _ => Err(wrong_type(line, key, "a boolean")),
     }
 }
 
 fn expect_str(line: usize, key: &str, v: Value) -> Result<String, ScenarioError> {
     match v {
         Value::Str(s) => Ok(s),
-        _ => Err(ScenarioError::WrongType {
-            line,
-            key: key.to_string(),
-            expected: "a string",
-        }),
+        _ => Err(wrong_type(line, key, "a string")),
     }
 }
 
@@ -173,42 +177,65 @@ impl SeenKeys {
     }
 }
 
+/// The typed field behind one optional variant key.
+enum Slot<'a> {
+    Bool(&'a mut Option<bool>),
+    Str(&'a mut Option<String>),
+    Size(&'a mut Option<usize>),
+    Bits(&'a mut Option<u32>),
+}
+
+/// Every optional variant key with its field, in canonical render order
+/// (after `preset`, which every variant has).
+fn variant_slots(spec: &mut VariantSpec) -> [(&'static str, Slot<'_>); 22] {
+    use Slot::{Bits, Bool, Size, Str};
+    [
+        ("me", Bool(&mut spec.me)),
+        ("me_fp_moves", Bool(&mut spec.me_fp_moves)),
+        ("smb", Bool(&mut spec.smb)),
+        ("smb_load_load", Bool(&mut spec.smb_load_load)),
+        ("smb_from_committed", Bool(&mut spec.smb_from_committed)),
+        ("tracker", Str(&mut spec.tracker)),
+        ("isrb_entries", Size(&mut spec.isrb_entries)),
+        ("counter_bits", Bits(&mut spec.counter_bits)),
+        ("rename_ports", Size(&mut spec.rename_ports)),
+        ("reclaim_ports", Size(&mut spec.reclaim_ports)),
+        ("walk_width", Size(&mut spec.walk_width)),
+        ("tracker_entries", Size(&mut spec.tracker_entries)),
+        ("distance", Str(&mut spec.distance)),
+        ("ddt", Str(&mut spec.ddt)),
+        ("frontend_width", Size(&mut spec.frontend_width)),
+        ("issue_width", Size(&mut spec.issue_width)),
+        ("commit_width", Size(&mut spec.commit_width)),
+        ("rob_entries", Size(&mut spec.rob_entries)),
+        ("iq_entries", Size(&mut spec.iq_entries)),
+        ("lq_entries", Size(&mut spec.lq_entries)),
+        ("sq_entries", Size(&mut spec.sq_entries)),
+        ("pregs_per_class", Size(&mut spec.pregs_per_class)),
+    ]
+}
+
 fn apply_variant_key(
     spec: &mut VariantSpec,
     line: usize,
     key: &str,
     value: Value,
 ) -> Result<(), ScenarioError> {
-    match key {
-        "preset" => spec.preset = expect_str(line, key, value)?,
-        "me" => spec.me = Some(expect_bool(line, key, value)?),
-        "me_fp_moves" => spec.me_fp_moves = Some(expect_bool(line, key, value)?),
-        "smb" => spec.smb = Some(expect_bool(line, key, value)?),
-        "smb_load_load" => spec.smb_load_load = Some(expect_bool(line, key, value)?),
-        "smb_from_committed" => spec.smb_from_committed = Some(expect_bool(line, key, value)?),
-        "tracker" => spec.tracker = Some(expect_str(line, key, value)?),
-        "isrb_entries" => spec.isrb_entries = Some(expect_int(line, key, value)? as usize),
-        "counter_bits" => spec.counter_bits = Some(expect_int(line, key, value)? as u32),
-        "rename_ports" => spec.rename_ports = Some(expect_int(line, key, value)? as usize),
-        "reclaim_ports" => spec.reclaim_ports = Some(expect_int(line, key, value)? as usize),
-        "walk_width" => spec.walk_width = Some(expect_int(line, key, value)? as usize),
-        "tracker_entries" => spec.tracker_entries = Some(expect_int(line, key, value)? as usize),
-        "distance" => spec.distance = Some(expect_str(line, key, value)?),
-        "ddt" => spec.ddt = Some(expect_str(line, key, value)?),
-        "frontend_width" => spec.frontend_width = Some(expect_int(line, key, value)? as usize),
-        "issue_width" => spec.issue_width = Some(expect_int(line, key, value)? as usize),
-        "commit_width" => spec.commit_width = Some(expect_int(line, key, value)? as usize),
-        "rob_entries" => spec.rob_entries = Some(expect_int(line, key, value)? as usize),
-        "iq_entries" => spec.iq_entries = Some(expect_int(line, key, value)? as usize),
-        "lq_entries" => spec.lq_entries = Some(expect_int(line, key, value)? as usize),
-        "sq_entries" => spec.sq_entries = Some(expect_int(line, key, value)? as usize),
-        "pregs_per_class" => spec.pregs_per_class = Some(expect_int(line, key, value)? as usize),
-        _ => {
-            return Err(ScenarioError::UnknownKey {
-                line,
-                key: key.to_string(),
-            })
-        }
+    if key == "preset" {
+        spec.preset = expect_str(line, key, value)?;
+        return Ok(());
+    }
+    let Some((_, slot)) = variant_slots(spec).into_iter().find(|(k, _)| *k == key) else {
+        return Err(ScenarioError::UnknownKey {
+            line,
+            key: key.to_string(),
+        });
+    };
+    match slot {
+        Slot::Bool(v) => *v = Some(expect_bool(line, key, value)?),
+        Slot::Str(v) => *v = Some(expect_str(line, key, value)?),
+        Slot::Size(v) => *v = Some(expect_int(line, key, value, "a size that fits usize")?),
+        Slot::Bits(v) => *v = Some(expect_int(line, key, value, "a width that fits 32 bits")?),
     }
     Ok(())
 }
@@ -272,16 +299,20 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 match key {
                     "name" => name = Some(expect_str(lineno, key, value)?),
                     "note" => note = expect_str(lineno, key, value)?,
-                    "warmup" => options.warmup = Some(expect_int(lineno, key, value)?),
-                    "measure" => options.measure = Some(expect_int(lineno, key, value)?),
+                    "warmup" => {
+                        options.warmup = Some(expect_int(lineno, key, value, "an integer")?)
+                    }
+                    "measure" => {
+                        options.measure = Some(expect_int(lineno, key, value, "an integer")?)
+                    }
                     "jobs" => {
-                        let n = expect_int(lineno, key, value)? as usize;
+                        let n = expect_int(lineno, key, value, "a size that fits usize")?;
                         // Typed, not a generic syntax error: the same
                         // ZeroJobs every other front door reports.
                         options = options.try_jobs(n).map_err(|_| ScenarioError::ZeroJobs)?;
                     }
                     "kind" => kind = Some(expect_str(lineno, key, value)?),
-                    "seed" => seed = Some(expect_int(lineno, key, value)?),
+                    "seed" => seed = Some(expect_int(lineno, key, value, "an integer")?),
                     "profile" => profile = Some(expect_str(lineno, key, value)?),
                     "kernel" => kernel = Some(expect_str(lineno, key, value)?),
                     "path" => {
@@ -292,25 +323,12 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                         path = Some(p);
                     }
                     "programs" => {
-                        let n = expect_int(lineno, key, value)?;
-                        if n > u32::MAX as u64 {
-                            return Err(ScenarioError::WrongType {
-                                line: lineno,
-                                key: key.to_string(),
-                                expected: "a family size that fits 32 bits",
-                            });
-                        }
-                        programs = Some(n as u32);
+                        let fits = "a family size that fits 32 bits";
+                        programs = Some(expect_int(lineno, key, value, fits)?);
                     }
                     "workloads" => match value {
                         Value::StrArray(items) => workloads = items,
-                        _ => {
-                            return Err(ScenarioError::WrongType {
-                                line: lineno,
-                                key: key.to_string(),
-                                expected: "an array of strings",
-                            })
-                        }
+                        _ => return Err(wrong_type(lineno, key, "an array of strings")),
                     },
                     _ => {
                         return Err(ScenarioError::UnknownKey {
@@ -346,26 +364,36 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
                 Err(ScenarioError::AsmKeyWithoutKind { key })
             })
     };
-    let (fuzz, asm) = match kind.as_deref() {
+    // A generated source *is* the workload list, and an asm source has
+    // one selector at most.
+    let workloads = match kind.as_deref() {
         None | Some("suite") => {
             reject_fuzz_keys()?;
             reject_asm_keys()?;
-            (None, None)
+            WorkloadSource::Suite(workloads)
         }
         Some("fuzz") => {
             reject_asm_keys()?;
-            (
-                Some(FuzzSource {
-                    profile: profile.unwrap_or_else(|| "balanced".to_string()),
-                    seed: seed.unwrap_or(1),
-                    programs: programs.unwrap_or(8),
-                }),
-                None,
-            )
+            if !workloads.is_empty() {
+                return Err(ScenarioError::FuzzWithWorkloads);
+            }
+            WorkloadSource::Fuzz {
+                profile: profile.unwrap_or_else(|| "balanced".to_string()),
+                seed: seed.unwrap_or(1),
+                programs: programs.unwrap_or(8),
+            }
         }
         Some("asm") => {
             reject_fuzz_keys()?;
-            (None, Some(AsmSource { kernel, path }))
+            if !workloads.is_empty() {
+                return Err(ScenarioError::AsmWithWorkloads);
+            }
+            match (kernel, path) {
+                (Some(_), Some(_)) => return Err(ScenarioError::AsmKernelAndPath),
+                (Some(kernel), None) => WorkloadSource::AsmKernel(kernel),
+                (None, Some(path)) => WorkloadSource::AsmPath(path),
+                (None, None) => WorkloadSource::AsmCorpus,
+            }
         }
         Some(other) => return Err(ScenarioError::UnknownKind(other.to_string())),
     };
@@ -374,17 +402,8 @@ pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         note,
         options,
         workloads,
-        fuzz,
-        asm,
         variants,
     })
-}
-
-fn push_variant_key(out: &mut String, key: &str, value: String) {
-    out.push_str(key);
-    out.push_str(" = ");
-    out.push_str(&value);
-    out.push('\n');
 }
 
 /// Renders the canonical `.scenario` text for a scenario.
@@ -395,19 +414,28 @@ pub fn render(s: &Scenario) -> String {
     if !s.note.is_empty() {
         out.push_str(&format!("note = \"{}\"\n", s.note));
     }
-    if let Some(fuzz) = &s.fuzz {
-        out.push_str("kind = \"fuzz\"\n");
-        out.push_str(&format!("profile = \"{}\"\n", fuzz.profile));
-        out.push_str(&format!("seed = {}\n", fuzz.seed));
-        out.push_str(&format!("programs = {}\n", fuzz.programs));
-    }
-    if let Some(asm) = &s.asm {
-        out.push_str("kind = \"asm\"\n");
-        if let Some(kernel) = &asm.kernel {
-            out.push_str(&format!("kernel = \"{kernel}\"\n"));
+    // The source's `kind` block goes above the run options, a suite list
+    // below them.
+    let mut list = String::new();
+    match &s.workloads {
+        WorkloadSource::Suite(names) if names.is_empty() => {}
+        WorkloadSource::Suite(names) => {
+            let quoted: Vec<String> = names.iter().map(|w| format!("\"{w}\"")).collect();
+            list = format!("workloads = [{}]\n", quoted.join(", "));
         }
-        if let Some(path) = &asm.path {
-            out.push_str(&format!("path = \"{path}\"\n"));
+        WorkloadSource::Fuzz {
+            profile,
+            seed,
+            programs,
+        } => out.push_str(&format!(
+            "kind = \"fuzz\"\nprofile = \"{profile}\"\nseed = {seed}\nprograms = {programs}\n"
+        )),
+        WorkloadSource::AsmCorpus => out.push_str("kind = \"asm\"\n"),
+        WorkloadSource::AsmKernel(kernel) => {
+            out.push_str(&format!("kind = \"asm\"\nkernel = \"{kernel}\"\n"))
+        }
+        WorkloadSource::AsmPath(path) => {
+            out.push_str(&format!("kind = \"asm\"\npath = \"{path}\"\n"))
         }
     }
     if let Some(v) = s.options.warmup {
@@ -419,61 +447,19 @@ pub fn render(s: &Scenario) -> String {
     if let Some(v) = s.options.jobs {
         out.push_str(&format!("jobs = {v}\n"));
     }
-    if !s.workloads.is_empty() {
-        let quoted: Vec<String> = s.workloads.iter().map(|w| format!("\"{w}\"")).collect();
-        out.push_str(&format!("workloads = [{}]\n", quoted.join(", ")));
-    }
+    out.push_str(&list);
     for (label, spec) in &s.variants {
         out.push_str(&format!("\n[variant.{label}]\n"));
-        push_variant_key(&mut out, "preset", format!("\"{}\"", spec.preset));
-        for (key, v) in [
-            ("me", spec.me),
-            ("me_fp_moves", spec.me_fp_moves),
-            ("smb", spec.smb),
-            ("smb_load_load", spec.smb_load_load),
-            ("smb_from_committed", spec.smb_from_committed),
-        ] {
-            if let Some(v) = v {
-                push_variant_key(&mut out, key, v.to_string());
-            }
-        }
-        if let Some(t) = &spec.tracker {
-            push_variant_key(&mut out, "tracker", format!("\"{t}\""));
-        }
-        if let Some(v) = spec.isrb_entries {
-            push_variant_key(&mut out, "isrb_entries", v.to_string());
-        }
-        if let Some(v) = spec.counter_bits {
-            push_variant_key(&mut out, "counter_bits", v.to_string());
-        }
-        for (key, v) in [
-            ("rename_ports", spec.rename_ports),
-            ("reclaim_ports", spec.reclaim_ports),
-            ("walk_width", spec.walk_width),
-            ("tracker_entries", spec.tracker_entries),
-        ] {
-            if let Some(v) = v {
-                push_variant_key(&mut out, key, v.to_string());
-            }
-        }
-        if let Some(d) = &spec.distance {
-            push_variant_key(&mut out, "distance", format!("\"{d}\""));
-        }
-        if let Some(d) = &spec.ddt {
-            push_variant_key(&mut out, "ddt", format!("\"{d}\""));
-        }
-        for (key, v) in [
-            ("frontend_width", spec.frontend_width),
-            ("issue_width", spec.issue_width),
-            ("commit_width", spec.commit_width),
-            ("rob_entries", spec.rob_entries),
-            ("iq_entries", spec.iq_entries),
-            ("lq_entries", spec.lq_entries),
-            ("sq_entries", spec.sq_entries),
-            ("pregs_per_class", spec.pregs_per_class),
-        ] {
-            if let Some(v) = v {
-                push_variant_key(&mut out, key, v.to_string());
+        out.push_str(&format!("preset = \"{}\"\n", spec.preset));
+        for (key, slot) in variant_slots(&mut spec.clone()) {
+            let value = match slot {
+                Slot::Bool(v) => v.map(|v| v.to_string()),
+                Slot::Str(v) => v.as_ref().map(|v| format!("\"{v}\"")),
+                Slot::Size(v) => v.map(|v| v.to_string()),
+                Slot::Bits(v) => v.map(|v| v.to_string()),
+            };
+            if let Some(value) = value {
+                out.push_str(&format!("{key} = {value}\n"));
             }
         }
     }
@@ -482,7 +468,9 @@ pub fn render(s: &Scenario) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{preset, AsmSource, Scenario, ScenarioError, VariantSpec, SCENARIO_PRESETS};
+    use super::super::{
+        preset, Scenario, ScenarioError, VariantSpec, WorkloadSource, SCENARIO_PRESETS,
+    };
 
     #[test]
     fn worked_example_parses() {
@@ -502,7 +490,10 @@ mod tests {
         "#;
         let s = Scenario::parse(text).unwrap();
         assert_eq!(s.name, "isrb_sizing");
-        assert_eq!(s.workloads, vec!["crafty", "hmmer"]);
+        assert_eq!(
+            s.workloads,
+            WorkloadSource::Suite(vec!["crafty".into(), "hmmer".into()])
+        );
         assert_eq!(s.variants.len(), 2);
         assert_eq!(s.variants[1].1.isrb_entries, Some(24));
         s.validate().unwrap();
@@ -561,6 +552,16 @@ mod tests {
                 expected: "a boolean"
             }
         );
+        // An integer too wide for its field is refused, never wrapped
+        // (4294967299 would otherwise become 3).
+        assert_eq!(
+            Scenario::parse(&format!("{base}counter_bits = 4294967299\n")).unwrap_err(),
+            ScenarioError::WrongType {
+                line: 4,
+                key: "counter_bits".into(),
+                expected: "a width that fits 32 bits"
+            }
+        );
         assert_eq!(
             Scenario::parse("note = \"no name\"\n").unwrap_err(),
             ScenarioError::MissingName
@@ -586,11 +587,12 @@ mod tests {
     fn fuzz_kind_parses_renders_and_is_guarded() {
         let text = "name = \"f\"\nkind = \"fuzz\"\nprofile = \"memory\"\nseed = 7\nprograms = 3\n\n[variant.base]\npreset = \"hpca16\"\n";
         let s = Scenario::parse(text).unwrap();
-        let fuzz = s.fuzz.as_ref().expect("fuzz source");
-        assert_eq!(
-            (fuzz.profile.as_str(), fuzz.seed, fuzz.programs),
-            ("memory", 7, 3)
-        );
+        let fuzz = |profile: &str, seed, programs| WorkloadSource::Fuzz {
+            profile: profile.into(),
+            seed,
+            programs,
+        };
+        assert_eq!(s.workloads, fuzz("memory", 7, 3));
         s.validate().unwrap();
         // Canonical render round-trips.
         let rendered = s.render();
@@ -598,17 +600,13 @@ mod tests {
         assert_eq!(Scenario::parse(&rendered).unwrap().render(), rendered);
         // Omitted fuzz keys take documented defaults.
         let s = Scenario::parse("name = \"f\"\nkind = \"fuzz\"\n[variant.v]\n").unwrap();
-        let fuzz = s.fuzz.unwrap();
-        assert_eq!(
-            (fuzz.profile.as_str(), fuzz.seed, fuzz.programs),
-            ("balanced", 1, 8)
-        );
+        assert_eq!(s.workloads, fuzz("balanced", 1, 8));
         // kind = "suite" is the explicit spelling of the default.
         assert_eq!(
             Scenario::parse("name = \"x\"\nkind = \"suite\"\n[variant.v]\n")
                 .unwrap()
-                .fuzz,
-            None
+                .workloads,
+            WorkloadSource::default()
         );
         // Typed guards.
         assert_eq!(
@@ -622,6 +620,15 @@ mod tests {
         assert_eq!(
             Scenario::parse("name = \"x\"\nprograms = 3\n").unwrap_err(),
             ScenarioError::FuzzKeyWithoutKind { key: "programs" }
+        );
+        // A generated family is the workload list: naming both fails as
+        // the file is parsed.
+        let err = Scenario::parse("name = \"x\"\nkind = \"fuzz\"\nworkloads = [\"crafty\"]\n")
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::FuzzWithWorkloads);
+        assert_eq!(
+            err.to_string(),
+            "a fuzz scenario generates its workload list; drop `workloads = [...]`"
         );
         // Out-of-range family sizes are rejected, never silently clamped.
         assert_eq!(
@@ -639,9 +646,7 @@ mod tests {
         let text = "name = \"a\"\nkind = \"asm\"\nkernel = \"quicksort\"\n\n\
                     [variant.base]\npreset = \"hpca16\"\n";
         let s = Scenario::parse(text).unwrap();
-        let asm = s.asm.as_ref().expect("asm source");
-        assert_eq!(asm.kernel.as_deref(), Some("quicksort"));
-        assert_eq!(asm.path, None);
+        assert_eq!(s.workloads, WorkloadSource::AsmKernel("quicksort".into()));
         s.validate().unwrap();
         // Canonical render round-trips.
         let rendered = s.render();
@@ -649,18 +654,12 @@ mod tests {
         assert_eq!(Scenario::parse(&rendered).unwrap().render(), rendered);
         // No selector keys = the whole embedded corpus.
         let s = Scenario::parse("name = \"a\"\nkind = \"asm\"\n[variant.v]\n").unwrap();
-        assert_eq!(
-            s.asm,
-            Some(AsmSource {
-                kernel: None,
-                path: None
-            })
-        );
+        assert_eq!(s.workloads, WorkloadSource::AsmCorpus);
         assert_eq!(s.resolve_workloads().unwrap().len(), 4);
         // A path key survives the round trip too.
         let s = Scenario::parse("name = \"a\"\nkind = \"asm\"\npath = \"k.asm\"\n[variant.v]\n")
             .unwrap();
-        assert_eq!(s.asm.as_ref().unwrap().path.as_deref(), Some("k.asm"));
+        assert_eq!(s.host_path(), Some("k.asm"));
         assert_eq!(Scenario::parse(&s.render()).unwrap(), s);
         // Typed guards.
         assert_eq!(
@@ -679,6 +678,24 @@ mod tests {
             Scenario::parse("name = \"a\"\nkind = \"asm\"\npath = \"\"\n").unwrap_err(),
             ScenarioError::InvalidAsmPath(String::new())
         );
+        // One source, one selector: combinations fail as the file is
+        // parsed.
+        for (text, err, msg) in [
+            (
+                "name = \"a\"\nkind = \"asm\"\nworkloads = [\"crafty\"]\n",
+                ScenarioError::AsmWithWorkloads,
+                "an asm scenario selects its workload list; drop `workloads = [...]`",
+            ),
+            (
+                "name = \"a\"\nkind = \"asm\"\nkernel = \"matmul\"\npath = \"x.asm\"\n",
+                ScenarioError::AsmKernelAndPath,
+                "an asm scenario takes `kernel` or `path`, not both",
+            ),
+        ] {
+            let got = Scenario::parse(text).unwrap_err();
+            assert_eq!(got, err);
+            assert_eq!(got.to_string(), msg);
+        }
     }
 
     #[test]
@@ -687,9 +704,7 @@ mod tests {
             name: "min".into(),
             note: String::new(),
             options: Default::default(),
-            workloads: vec![],
-            fuzz: None,
-            asm: None,
+            workloads: WorkloadSource::default(),
             variants: vec![("only".into(), VariantSpec::hpca16())],
         };
         let text = s.render();

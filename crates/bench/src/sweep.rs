@@ -17,7 +17,13 @@
 //! Programs are memoized per workload: each of the synthetic programs is
 //! built exactly once (lazily, by whichever worker first needs it) and
 //! shared read-only across every configuration variant.
+//!
+//! A sweep may run against the content-addressed cell [`Cache`] (what
+//! `Scenario::run` does under `--cache-dir`): each worker looks its cell
+//! up under [`cell_digest`], measures only on a miss, and stores the
+//! result at once — so a workload whose cells are all hits is never built.
 
+use crate::cache::{Cache, CacheError};
 use crate::digest::cell_digest;
 use crate::harness::{measure_program, Measurement, RunWindow};
 use crate::options::RunOptions;
@@ -27,13 +33,13 @@ use regshare_types::stats::{geomean, speedup_pct};
 use regshare_workloads::Workload;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Mutex, OnceLock};
 
 /// Any way a sweep can fail at run time: a grid accessor asked for a label
 /// the spec never declared, a worker job died (a simulator bug surfaced as
 /// a panic — caught so long-running callers like the serve daemon degrade
-/// to an error reply instead of aborting), or hand-assembled cells with the
-/// wrong shape.
+/// to an error reply instead of aborting), hand-assembled cells with the
+/// wrong shape, or a cell the cache could not store.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SweepError {
     /// A label no variant of this sweep carries.
@@ -58,6 +64,9 @@ pub enum SweepError {
         /// The cell count actually supplied.
         got: usize,
     },
+    /// The first cell a cached sweep could not store, reported once every
+    /// cell is done (the cells stored before it stay in the cache).
+    Cache(CacheError),
 }
 
 impl std::fmt::Display for SweepError {
@@ -75,6 +84,7 @@ impl std::fmt::Display for SweepError {
                 f,
                 "grid shape mismatch: expected {expected} cells, got {got}"
             ),
+            SweepError::Cache(e) => write!(f, "{e}"),
         }
     }
 }
@@ -128,6 +138,7 @@ pub struct SweepSpec {
     variants: Vec<Variant>,
     window: RunWindow,
     jobs: Option<usize>,
+    cache: Option<Cache>,
 }
 
 impl SweepSpec {
@@ -138,6 +149,7 @@ impl SweepSpec {
             variants: Vec::new(),
             window,
             jobs: None,
+            cache: None,
         }
     }
 
@@ -164,17 +176,11 @@ impl SweepSpec {
         self
     }
 
-    /// Every cell's workload name and content address ([`cell_digest`]),
-    /// in row-major order (`w * variants + v`).
-    pub(crate) fn cell_keys(&self) -> Vec<(String, u64)> {
-        self.workloads
-            .iter()
-            .flat_map(|w| {
-                self.variants
-                    .iter()
-                    .map(|v| (w.name.clone(), cell_digest(&w.name, &v.cfg, self.window)))
-            })
-            .collect()
+    /// Runs against `cache`: cells it holds are taken as they are, and
+    /// every cell measured is stored the moment it finishes.
+    pub(crate) fn cache(mut self, cache: Cache) -> SweepSpec {
+        self.cache = Some(cache);
+        self
     }
 
     /// The worker count this spec will run with.
@@ -189,71 +195,68 @@ impl SweepSpec {
     /// A worker panic (a simulator bug) is caught and reported as
     /// [`SweepError::JobFailed`] naming the cell, so long-running callers
     /// — the serve daemon above all — degrade to an error instead of
-    /// aborting the process.
+    /// aborting the process. Under a cache, a damaged entry is discarded
+    /// and its cell measured ([`Cache::lookup`]), and the first failed
+    /// store is returned as [`SweepError::Cache`] once every cell is done.
     ///
     /// # Panics
     ///
     /// Panics if the spec has no variants (an API-misuse bug in the
     /// caller; every scenario front door rejects it long before here).
     pub fn run(self) -> Result<SweepGrid, SweepError> {
-        let cells = vec![None; self.workloads.len() * self.variants.len()];
-        self.run_resumed(cells, |_, _| {})
-    }
-
-    /// [`SweepSpec::run`] over only the cells `cells` does not already
-    /// hold (row-major, `cells[w * variants + v]`), handing each newly
-    /// measured cell to `on_cell` with its index as soon as it finishes —
-    /// the hook behind checkpointed sweeps, which fill `cells` from the
-    /// cell cache and store what `on_cell` hands back. Workloads whose
-    /// cells are all recorded are never built.
-    pub(crate) fn run_resumed(
-        self,
-        mut cells: Vec<Option<Measurement>>,
-        on_cell: impl Fn(usize, &Measurement) + Sync,
-    ) -> Result<SweepGrid, SweepError> {
         assert!(
             !self.variants.is_empty(),
             "sweep spec needs at least one variant"
         );
         let n_variants = self.variants.len();
         // Lazy per-workload program memoization: built once by whichever
-        // worker gets there first, shared read-only by all variants.
+        // worker first misses, shared read-only by all variants.
         let programs: Vec<OnceLock<Program>> =
             self.workloads.iter().map(|_| OnceLock::new()).collect();
-        let todo: Vec<usize> = (0..cells.len()).filter(|&i| cells[i].is_none()).collect();
-        let measured = par_map(todo.len(), self.job_count(), |k| {
-            let i = todo[k];
+        let failed_store = Mutex::new(None);
+        let cells = par_map(self.workloads.len() * n_variants, self.job_count(), |i| {
             let (workload, variant) = (
                 &self.workloads[i / n_variants],
                 &self.variants[i % n_variants],
             );
+            let name = workload.name.as_str();
+            let cached = self
+                .cache
+                .as_ref()
+                .map(|cache| (cache, cell_digest(name, &variant.cfg, self.window)));
+            if let Some(stats) = cached.and_then(|(cache, key)| cache.lookup(key, name)) {
+                return Ok(Measurement {
+                    name: name.to_string(),
+                    stats,
+                });
+            }
             // The only shared state is the program cache; a panicked
             // job leaves it usable, so AssertUnwindSafe holds.
             let cell = catch_unwind(AssertUnwindSafe(|| {
                 let program = programs[i / n_variants].get_or_init(|| workload.build());
-                measure_program(
-                    workload.name.as_str(),
-                    program,
-                    variant.cfg.clone(),
-                    self.window,
-                )
+                measure_program(name, program, variant.cfg.clone(), self.window)
             }))
             .map_err(|payload| SweepError::JobFailed {
                 workload: workload.name.clone(),
                 label: variant.label.clone(),
                 detail: panic_detail(payload),
             })?;
-            on_cell(i, &cell);
+            if let Some((cache, key)) = cached {
+                if let Err(e) = cache.store(key, name, &cell.stats) {
+                    failed_store
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .get_or_insert(e);
+                }
+            }
             Ok(cell)
         });
-        for (i, cell) in todo.into_iter().zip(measured) {
-            cells[i] = Some(cell?);
+        let cells = cells.into_iter().collect::<Result<_, _>>()?;
+        if let Some(e) = failed_store.into_inner().unwrap_or_else(|e| e.into_inner()) {
+            return Err(SweepError::Cache(e));
         }
         Ok(SweepGrid {
-            cells: cells
-                .into_iter()
-                .map(|c| c.expect("every cell measured"))
-                .collect(),
+            cells,
             workloads: self.workloads,
             labels: self.variants.into_iter().map(|v| v.label).collect(),
         })
@@ -512,45 +515,78 @@ mod tests {
         }
     }
 
+    /// A fresh, empty per-test cache directory.
+    fn tmp_cache(tag: &str) -> (std::path::PathBuf, Cache) {
+        let dir = std::env::temp_dir().join(format!("regshare-sweep-{}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cache = Cache::open(&dir, None).unwrap();
+        (dir, cache)
+    }
+
+    /// Stats no simulation produces, so a served cell is told from a
+    /// measured one.
+    fn sentinel() -> regshare_core::SimStats {
+        regshare_core::SimStats {
+            cycles: 7,
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn run_resumed_measures_only_missing_cells_and_hands_each_back() {
-        let spec = || {
-            SweepSpec::new(vec![mini()], tiny_window())
-                .variant("base", CoreConfig::hpca16())
-                .variant("both", CoreConfig::hpca16().with_me().with_smb())
-                .jobs(2)
-        };
-        let reference = spec().run().unwrap();
-        let recorded = Measurement {
-            name: "mini".into(),
-            stats: regshare_core::SimStats {
-                cycles: 7,
-                ..Default::default()
-            },
-        };
-        let handed_back = Mutex::new(Vec::new());
-        let grid = spec()
-            .run_resumed(vec![Some(recorded.clone()), None], |i, m| {
-                handed_back.lock().unwrap().push((i, m.stats));
-            })
+    fn workloads_whose_cells_are_all_hits_are_never_built() {
+        // Building this workload panics (see the test above), so a sweep
+        // that succeeds never built it.
+        let doomed = regshare_workloads::fuzz::FuzzSpec {
+            profile: "doom".into(),
+            seed: 1,
+        }
+        .workload();
+        let (dir, cache) = tmp_cache("never-built");
+        let configs = [CoreConfig::hpca16(), CoreConfig::hpca16().with_me()];
+        for cfg in &configs {
+            let key = cell_digest("fuzz-doom-1", cfg, tiny_window());
+            cache.store(key, "fuzz-doom-1", &sentinel()).unwrap();
+        }
+        let [base, me] = configs;
+        let grid = SweepSpec::new(vec![doomed], tiny_window())
+            .variant("base", base)
+            .variant("me", me)
+            .jobs(2)
+            .cache(cache)
+            .run()
             .unwrap();
-        let both = reference.get(0, "both").unwrap().stats;
-        assert_eq!(handed_back.into_inner().unwrap(), vec![(1, both)]);
-        assert_eq!(grid.get(0, "base").unwrap().stats, recorded.stats);
-        assert_eq!(grid.get(0, "both").unwrap().stats, both);
-        let keys = spec().cell_keys();
-        assert_eq!(keys[0].0, "mini");
-        assert_eq!(
-            keys[1],
-            (
-                "mini".to_string(),
-                cell_digest(
-                    "mini",
-                    &CoreConfig::hpca16().with_me().with_smb(),
-                    tiny_window()
-                )
-            )
+        for label in ["base", "me"] {
+            let cell = grid.get(0, label).unwrap();
+            assert_eq!(
+                (cell.name.as_str(), cell.stats),
+                ("fuzz-doom-1", sentinel())
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn first_failed_store_is_returned_after_the_sweep() {
+        let (dir, cache) = tmp_cache("store-fails");
+        // Every store now fails: its temp file has no directory to go in.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = SweepSpec::new(vec![mini()], tiny_window())
+            .variant("base", CoreConfig::hpca16())
+            .variant("me", CoreConfig::hpca16().with_me())
+            .jobs(2)
+            .cache(cache)
+            .run()
+            .unwrap_err();
+        assert!(
+            matches!(err, SweepError::Cache(CacheError::Io { .. })),
+            "{err:?}"
         );
+        assert!(!dir.exists(), "a store never recreates the directory");
+        // A scenario run reports it as the cache error it is.
+        assert!(matches!(
+            crate::scenario::ScenarioError::from(err),
+            crate::scenario::ScenarioError::Cache(CacheError::Io { .. })
+        ));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! pools and arbitrary identifier names.
 
 use proptest::prelude::*;
-use regshare_bench::{AsmSource, FuzzSource, RunOptions, Scenario, ScenarioError, VariantSpec};
+use regshare_bench::{RunOptions, Scenario, ScenarioError, VariantSpec, WorkloadSource};
 
 const IDENT_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_.-";
 const NOTE_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz0123456789_.,:+%()= -";
@@ -116,39 +116,21 @@ fn scenario_from(raw: &[u64]) -> Scenario {
     if d.next().is_multiple_of(2) {
         options.jobs = Some(1 + (d.next() % 64) as usize);
     }
-    // A scenario draws a workload list, a fuzz family, or an asm source
-    // (combining them is invalid, and the renderer would emit conflicting
-    // sections).
-    let (workloads, fuzz, asm) = match d.next() % 8 {
-        0 | 1 => (
-            Vec::new(),
-            Some(FuzzSource {
-                profile: d.ident(),
-                seed: d.next(),
-                programs: 1 + (d.next() % 64) as u32,
-            }),
-            None,
-        ),
-        2 | 3 => {
-            let asm = match d.next() % 3 {
-                0 => AsmSource {
-                    kernel: None,
-                    path: None,
-                },
-                1 => AsmSource {
-                    kernel: Some(d.ident()),
-                    path: None,
-                },
-                _ => AsmSource {
-                    kernel: None,
-                    path: Some(format!("{}/{}.asm", d.ident(), d.ident())),
-                },
-            };
-            (Vec::new(), None, Some(asm))
-        }
+    // A scenario draws a workload list, a fuzz family, or an asm source.
+    let workloads = match d.next() % 8 {
+        0 | 1 => WorkloadSource::Fuzz {
+            profile: d.ident(),
+            seed: d.next(),
+            programs: 1 + (d.next() % 64) as u32,
+        },
+        2 | 3 => match d.next() % 3 {
+            0 => WorkloadSource::AsmCorpus,
+            1 => WorkloadSource::AsmKernel(d.ident()),
+            _ => WorkloadSource::AsmPath(format!("{}/{}.asm", d.ident(), d.ident())),
+        },
         _ => {
             let n_workloads = (d.next() % 4) as usize;
-            ((0..n_workloads).map(|_| d.ident()).collect(), None, None)
+            WorkloadSource::Suite((0..n_workloads).map(|_| d.ident()).collect())
         }
     };
     let n_variants = 1 + (d.next() % 4) as usize;
@@ -161,8 +143,6 @@ fn scenario_from(raw: &[u64]) -> Scenario {
         note: d.note(),
         options,
         workloads,
-        fuzz,
-        asm,
         variants,
     }
 }

@@ -5,12 +5,11 @@
 //! flipped byte of an entry comes back as `Ok` or a typed `CacheError` —
 //! never a panic. (Each corruption's exact error is pinned by the cache
 //! module's unit tests and the serve crate's `cache_correctness` suite.)
-//! And a checkpointed sweep never takes a cell recorded for another
+//! And a cached sweep never takes a cell recorded for another
 //! experiment: a different configuration or program is a different
 //! content address, so its cells are measured afresh.
 
 use regshare_bench::cache::{Cache, CacheError};
-use regshare_bench::checkpoint::run_sweep;
 use regshare_bench::{
     cell_digest, measure_program, RunOptions, RunWindow, Scenario, SweepGrid, VariantSpec,
 };
@@ -106,13 +105,13 @@ fn sweep_over_recorded_cells(tag: &str, other: &Scenario) -> (SweepGrid, SweepGr
     let s = scenario();
     let dir = tmp_dir(tag);
     let cache = Cache::open(&dir, None).unwrap();
-    for w in &s.workloads {
+    for w in s.resolve_workloads().unwrap() {
         for (_, spec) in &s.variants {
-            let key = cell_digest(w, &spec.to_config().unwrap(), s.options.window());
-            cache.store(key, w, &sentinel()).unwrap();
+            let key = cell_digest(&w.name, &spec.to_config().unwrap(), s.options.window());
+            cache.store(key, &w.name, &sentinel()).unwrap();
         }
     }
-    let grid = run_sweep(other, Some(dir.to_str().unwrap())).unwrap();
+    let grid = other.run(Some(dir.to_str().unwrap())).unwrap();
     std::fs::remove_dir_all(dir).unwrap();
     (grid, other.to_sweep().unwrap().run().unwrap())
 }

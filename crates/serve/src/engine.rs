@@ -5,8 +5,10 @@
 //! window) **cell** rather than per run:
 //!
 //! 1. a request naming a host file (`kind = "asm"` with `path = ...`) is
-//!    rejected with [`ServeError::HostPath`] before anything reads it; the
-//!    rest is validated with the scenario layer's typed errors;
+//!    rejected with [`ServeError::HostPath`] before anything reads it, and
+//!    one of more than [`MAX_REQUEST_CELLS`] cells with
+//!    [`ServeError::TooManyCells`] before anything is resolved; the rest
+//!    is validated with the scenario layer's typed errors;
 //! 2. every cell is content-addressed with
 //!    [`regshare_bench::cell_digest`] and looked up in the persistent
 //!    [`Cache`];
@@ -40,6 +42,13 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+/// The most cells one request may name. Resolving a scenario builds its
+/// workload list in memory (a fuzz family eagerly) before admission
+/// control counts a cell, and one short request can ask for four billion
+/// programs, so this bound is checked first, on the source's count. It is
+/// far above the largest checked-in scenario (`fig7_combined`, 252 cells).
+pub const MAX_REQUEST_CELLS: usize = 16_384;
+
 /// Any way a request can fail. Everything is typed: the protocol layer
 /// maps each variant to a wire error kind, and `Busy`/`Timeout` are
 /// explicitly retriable.
@@ -51,6 +60,14 @@ pub enum ServeError {
     /// (`kind = "asm"` with `path = ...`). The daemon never reads host
     /// files on a client's behalf; embedded `kernel = ...` sources work.
     HostPath,
+    /// The submitted scenario names more cells than one request may
+    /// ([`MAX_REQUEST_CELLS`]); refused before anything is resolved.
+    TooManyCells {
+        /// Cells the scenario names (workloads × variants).
+        cells: usize,
+        /// The cap.
+        max: usize,
+    },
     /// The cache directory could not be opened or written.
     Cache(CacheError),
     /// Admission control: the job queue is full. Admission is checked
@@ -93,6 +110,10 @@ impl std::fmt::Display for ServeError {
                 f,
                 "the daemon does not read host files: asm `path` is rejected \
                  (use an embedded `kernel = ...`)"
+            ),
+            ServeError::TooManyCells { cells, max } => write!(
+                f,
+                "the scenario names {cells} cells; a request may name at most {max}"
             ),
             ServeError::Cache(e) => write!(f, "{e}"),
             ServeError::Busy { pending, max } => write!(
@@ -383,6 +404,13 @@ impl Engine {
     pub fn submit(&self, scenario: &Scenario, format: Format) -> Result<ServeResponse, ServeError> {
         if scenario.host_path().is_some() {
             return Err(ServeError::HostPath);
+        }
+        let cells = scenario.cell_count();
+        if cells > MAX_REQUEST_CELLS {
+            return Err(ServeError::TooManyCells {
+                cells,
+                max: MAX_REQUEST_CELLS,
+            });
         }
         let (workloads, configs) = scenario.resolve()?;
         self.shared.requests.fetch_add(1, Ordering::Relaxed);

@@ -10,7 +10,7 @@
 //!   written atomically, validated on read with typed errors, LRU-evicted
 //!   under an optional byte cap. Because the sweep engine is
 //!   deterministic, a cache hit is byte-identical to a recomputation —
-//!   caching is invisible in the output — and a checkpointed batch run
+//!   caching is invisible in the output — and a cached batch run
 //!   (`paper_report --cache-dir`) can warm the daemon's directory.
 //! * [`engine`] — the scheduler: per-cell cache lookup, coalescing of
 //!   concurrent identical requests onto one computation, a bounded
@@ -36,7 +36,7 @@ pub mod protocol;
 pub mod server;
 
 pub use client::Connection;
-pub use engine::{Engine, EngineConfig, Format, ServeError, ServeResponse};
+pub use engine::{Engine, EngineConfig, Format, ServeError, ServeResponse, MAX_REQUEST_CELLS};
 pub use protocol::{Reply, Request};
 pub use regshare_bench::cache::{Cache, CacheError};
 pub use server::{Server, ServerStop};

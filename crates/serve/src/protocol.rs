@@ -139,7 +139,9 @@ pub fn write_ok(w: &mut impl Write, tag: &str, body: &str) -> io::Result<()> {
 /// (`busy`/`timeout` are retriable, the rest are not).
 pub fn error_kind(e: &ServeError) -> &'static str {
     match e {
-        ServeError::Scenario(_) | ServeError::HostPath => "scenario",
+        ServeError::Scenario(_) | ServeError::HostPath | ServeError::TooManyCells { .. } => {
+            "scenario"
+        }
         ServeError::Cache(_) => "cache",
         ServeError::Busy { .. } => "busy",
         ServeError::Timeout { .. } => "timeout",

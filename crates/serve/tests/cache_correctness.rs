@@ -1,11 +1,10 @@
 //! Cache correctness: cold/warm byte-identity, persistence across engine
-//! restarts, one store shared with checkpointed batch sweeps, eviction
+//! restarts, one store shared with cached batch sweeps, eviction
 //! that never corrupts survivors, and typed rejection of damaged entries
 //! (the decoder's no-panic sweeps are in `regshare-bench`'s
 //! `snapshot_errors` suite).
 
 use regshare_bench::cache::CACHE_FORMAT_VERSION;
-use regshare_bench::checkpoint::run_sweep;
 use regshare_bench::digest::cell_digest;
 use regshare_bench::{render_report, RunOptions, Scenario, VariantSpec};
 use regshare_core::{CoreConfig, SimStats};
@@ -103,7 +102,7 @@ fn cache_survives_engine_restart() {
 fn batch_sweep_warms_the_daemon_cache() {
     let dir = TempDir::new("batch-warm");
     let scenario = tiny("serve_batch_warm");
-    let grid = run_sweep(&scenario, Some(&dir.as_str())).unwrap();
+    let grid = scenario.run(Some(&dir.as_str())).unwrap();
 
     // A daemon on the batch run's directory simulates nothing and serves
     // exactly the batch report.

@@ -180,6 +180,30 @@ fn asm_path_requests_never_read_host_files() {
 }
 
 #[test]
+fn oversized_requests_are_refused_before_resolving() {
+    let dir = TempDir::new("oversized");
+    let (addr, handle, engine) = start_server("127.0.0.1:0", &dir);
+    let mut conn = Connection::connect(&addr, 5).unwrap();
+
+    // Four billion generated programs in one short request: refused on
+    // the count alone, before any workload is built in memory.
+    let huge = "name = \"huge\"\nkind = \"fuzz\"\nprograms = 4294967295\n\
+                \n[variant.base]\npreset = \"hpca16\"\n";
+    let err = conn.run(huge, Format::Table).unwrap().unwrap_err();
+    assert!(err.starts_with("scenario: "), "got {err:?}");
+    assert!(err.contains("4294967295 cells"), "got {err:?}");
+    assert!(!err.contains('\n'), "error replies are one line");
+    assert_eq!(engine.requests(), 0, "refused before it was accepted");
+
+    // The same connection keeps answering.
+    let pong = conn.ping().unwrap().unwrap();
+    assert_eq!(pong.meta, "pong len=0");
+
+    conn.shutdown().unwrap().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn malformed_commands_get_protocol_errors() {
     use std::io::{BufRead, BufReader, Write};
     let dir = TempDir::new("proto");
