@@ -566,6 +566,39 @@ mod tests {
     }
 
     #[test]
+    fn run_resumed_measures_only_missing_cells_and_hands_each_back() {
+        // A resumed run: the cache holds one of the two cells, as a killed
+        // sweep leaves it.
+        let both_cfg = CoreConfig::hpca16().with_me().with_smb();
+        let spec = || {
+            SweepSpec::new(vec![mini()], tiny_window())
+                .variant("base", CoreConfig::hpca16())
+                .variant("both", both_cfg.clone())
+                .jobs(2)
+        };
+        let reference = spec().run().unwrap();
+        let (dir, cache) = tmp_cache("resumed");
+        let base_key = cell_digest("mini", &CoreConfig::hpca16(), tiny_window());
+        let both_key = cell_digest("mini", &both_cfg, tiny_window());
+        cache.store(base_key, "mini", &sentinel()).unwrap();
+
+        let grid = spec()
+            .cache(Cache::open(&dir, None).unwrap())
+            .run()
+            .unwrap();
+        // The stored cell is taken as it is, never re-measured ...
+        assert_eq!(grid.get(0, "base").unwrap().stats, sentinel());
+        // ... the missing one is measured ...
+        let both = reference.get(0, "both").unwrap().stats;
+        assert_eq!(grid.get(0, "both").unwrap().stats, both);
+        // ... and handed back to the cache under its content address,
+        // with the hit left as it was.
+        assert_eq!(cache.load(both_key, "mini"), Ok(Some(both)));
+        assert_eq!(cache.load(base_key, "mini"), Ok(Some(sentinel())));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn first_failed_store_is_returned_after_the_sweep() {
         let (dir, cache) = tmp_cache("store-fails");
         // Every store now fails: its temp file has no directory to go in.
