@@ -27,6 +27,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 const WHEEL: usize = 8192;
+/// Pipelined issue pools counted per cycle by `claim_unit`: ALU, integer
+/// multiply, FP add, FP multiply, shared memory port, store-only port.
+const POOLS: usize = 6;
 const NOT_READY: u64 = u64::MAX;
 
 /// Execution latencies per functional-unit class (Table 1).
@@ -107,6 +110,21 @@ struct Scratch {
     issued: Vec<usize>,
     /// Event list of the wheel slot being drained.
     events: Vec<Event>,
+}
+
+impl Scratch {
+    /// Collects a squashed entry's tracker events and its checkpoint.
+    fn collect_squash(&mut self, e: &RobCold) {
+        if let Some(s) = e.share.as_ref() {
+            self.shares.push((s.class, s.preg));
+        }
+        if let Some(d) = e.dst.filter(|d| d.fresh_alloc) {
+            self.allocs.push((d.arch.class(), d.new_preg));
+        }
+        if let Some(id) = e.branch.as_ref().and_then(|b| b.ckpt) {
+            self.dead_ckpts.push(id);
+        }
+    }
 }
 
 /// Upper bound on pooled fetch snapshots: enough for every live checkpoint
@@ -222,8 +240,6 @@ pub struct Simulator {
     next_uid: u64,
     /// Exact stop point for [`Simulator::run`] (commit stops mid-cycle).
     commit_budget: Option<u64>,
-    /// Register lifecycle trace target from `REGSHARE_TRACE=int:<n>|fp:<n>`.
-    trace_target: Option<(RegClass, usize)>,
     stats: SimStats,
     arch_digest: u64,
     last_share_seq: Option<u64>,
@@ -312,15 +328,6 @@ impl Simulator {
             now: 0,
             next_uid: 0,
             commit_budget: None,
-            trace_target: std::env::var("REGSHARE_TRACE").ok().and_then(|v| {
-                let (c, p) = v.split_once(':')?;
-                let class = match c {
-                    "int" => RegClass::Int,
-                    "fp" => RegClass::Fp,
-                    _ => return None,
-                };
-                Some((class, p.parse().ok()?))
-            }),
             stats: SimStats::default(),
             arch_digest: 0,
             last_share_seq: None,
@@ -433,12 +440,13 @@ impl Simulator {
         }
     }
 
-    /// Re-evaluates entries parked on scoreboard index `idx` after that
-    /// source received a finite ready cycle. Parked seqs are looked up in
+    /// Schedules scoreboard index `idx` ready at cycle `at` and
+    /// re-evaluates the entries parked on it. Parked seqs are looked up in
     /// the (sorted) IQ; vanished or reused seqs fail the lookup or the
     /// recheck and are dropped — the hint is recomputed from `prf_ready`
     /// alone, so a stale wake can never mis-time an entry.
-    fn wake_waiters(&mut self, idx: usize) {
+    fn set_ready(&mut self, idx: usize, at: u64) {
+        self.prf_ready[idx] = at;
         if self.waiters[idx].is_empty() {
             return;
         }
@@ -459,6 +467,14 @@ impl Simulator {
             }
         }
         self.waiters[idx] = list;
+    }
+
+    /// Returns `preg` to its class's free list. Its scoreboard slot reads
+    /// not-ready until the next allocation of the register writes it.
+    fn free_preg(&mut self, class: RegClass, preg: PhysReg) {
+        let i = self.prf(class, preg);
+        self.prf_ready[i] = NOT_READY;
+        self.fl[class.index()].push(preg);
     }
 
     // ------------------------------------------------------------------
@@ -693,26 +709,8 @@ impl Simulator {
             arch: d.arch,
             renews: d.new_preg == d.old_preg,
         };
-        let decision = self.tracker.on_reclaim(&req);
-        if self.trace_target.is_some() {
-            // Lazy: the format! must not run untraced — reclaim is per-µ-op.
-            self.trace_preg(
-                "reclaim",
-                class,
-                d.old_preg,
-                &format!(
-                    "{decision:?} seq={seq} arch={} renews={} new={}",
-                    d.arch, req.renews, d.new_preg
-                ),
-            );
-        }
-        match decision {
-            ReclaimDecision::Free => {
-                let i = self.prf(class, d.old_preg);
-                self.prf_ready[i] = NOT_READY;
-                self.fl[class.index()].push(d.old_preg);
-            }
-            ReclaimDecision::Keep => {}
+        if self.tracker.on_reclaim(&req) == ReclaimDecision::Free {
+            self.free_preg(class, d.old_preg);
         }
     }
 
@@ -750,13 +748,10 @@ impl Simulator {
         }
 
         // Squash everything in flight.
-        let mut squashed = 0usize;
-        let mut shares = std::mem::take(&mut self.scratch.shares);
-        let mut allocs = std::mem::take(&mut self.scratch.allocs);
-        self.rob.squash_all_inflight(|_, cold| {
-            squashed += 1;
-            Self::collect_squash(cold, &mut shares, &mut allocs);
-        });
+        let scratch = &mut self.scratch;
+        let squashed = self
+            .rob
+            .squash_all_inflight(|_, cold| scratch.collect_squash(cold));
         self.iq.clear();
         self.iq_wait.clear();
         // A full flush empties the IQ, so every parked registration is
@@ -766,65 +761,76 @@ impl Simulator {
         }
         self.lq.clear();
         self.sq.clear();
-        self.stats.squashed_uops += squashed as u64;
 
         // Restore architectural register state.
         self.rm.clone_from(&self.crm);
         for c in 0..2 {
             self.fl[c].restore_to_committed();
         }
-        self.run_squash_walk(&mut shares, &mut allocs);
-        self.scratch.shares = shares;
-        self.scratch.allocs = allocs;
-        let mut freed = std::mem::take(&mut self.scratch.freed);
-        self.tracker.restore_to_committed(&mut freed);
-        for (class, preg) in freed.drain(..) {
-            let i = self.prf(class, preg);
-            self.prf_ready[i] = NOT_READY;
-            self.fl[class.index()].push(preg);
-        }
-        self.scratch.freed = freed;
-        let mut ckpts = std::mem::take(&mut self.ckpts);
-        for (_, ck) in ckpts.drain() {
-            self.recycle_snap(ck.fetch);
-        }
-        self.ckpts = ckpts;
+        self.undo_squashed();
+        // Every live checkpoint belonged to a squashed branch.
+        debug_assert!(self.ckpts.is_empty(), "checkpoint outlived its branch");
+        self.restore_tracker(None);
 
         // Restore front-end state from the architectural images.
         self.tage.restore(&self.arch_tage);
         self.ras.restore(&self.arch_ras);
         self.spec_hist = self.arch_hist;
+        self.redirect_fetch(seq, squashed);
+    }
+
+    /// Undoes the squashed µ-ops collected in `scratch`: drives the
+    /// tracker's squash walk in two passes (shares first, then
+    /// allocations — see `SharingTracker::on_squash_share`), frees any
+    /// registers the walk uncovers, and recycles the squashed branches'
+    /// checkpoints.
+    fn undo_squashed(&mut self) {
+        let mut shares = std::mem::take(&mut self.scratch.shares);
+        for (c, p) in shares.drain(..) {
+            if let Some((fc, fp)) = self.tracker.on_squash_share(c, p) {
+                self.free_preg(fc, fp);
+            }
+        }
+        self.scratch.shares = shares;
+        for (c, p) in self.scratch.allocs.drain(..) {
+            self.tracker.on_squash_alloc(c, p);
+        }
+        let mut dead_ckpts = std::mem::take(&mut self.scratch.dead_ckpts);
+        for id in dead_ckpts.drain(..) {
+            if let Some(ck) = self.ckpts.remove(&id) {
+                self.recycle_snap(ck.fetch);
+            }
+        }
+        self.scratch.dead_ckpts = dead_ckpts;
+    }
+
+    /// Rolls the tracker back to checkpoint `ckpt` (the committed state
+    /// for `None`) and frees every register the rollback releases.
+    fn restore_tracker(&mut self, ckpt: Option<u64>) {
+        let mut freed = std::mem::take(&mut self.scratch.freed);
+        match ckpt {
+            Some(id) => self.tracker.restore(id, &mut freed),
+            None => self.tracker.restore_to_committed(&mut freed),
+        }
+        for (class, preg) in freed.drain(..) {
+            self.free_preg(class, preg);
+        }
+        self.scratch.freed = freed;
+    }
+
+    /// The front-end tail of every recovery: empties the fetch pipe,
+    /// refetches from `resume` next cycle, and holds rename for the
+    /// tracker's repair of the `squashed` µ-ops.
+    fn redirect_fetch(&mut self, resume: SeqNum, squashed: usize) {
         self.clear_pipe();
         self.pending_fetch = None;
         self.last_fetch_line = Addr::MAX;
-        self.stream.recover_to(seq);
+        self.stream.recover_to(resume);
         self.fetch_stall_until = self.now + 1;
-        self.rename_stall_until = self
-            .rename_stall_until
-            .max(self.now + self.tracker.recovery_stall_cycles(squashed));
-        self.stats.tracker_recovery_stalls += self.tracker.recovery_stall_cycles(squashed);
-    }
-
-    /// Drives the tracker's squash walk in two passes (shares first, then
-    /// allocations — see `SharingTracker::on_squash_share`) and frees any
-    /// registers the walk uncovers. Drains the caller's (scratch) buffers.
-    fn run_squash_walk(
-        &mut self,
-        shares: &mut Vec<(RegClass, PhysReg)>,
-        allocs: &mut Vec<(RegClass, PhysReg)>,
-    ) {
-        for (c, p) in shares.drain(..) {
-            self.trace_preg("squash-share", c, p, "");
-            if let Some((fc, fp)) = self.tracker.on_squash_share(c, p) {
-                self.trace_preg("squash-free", fc, fp, "");
-                let i = self.prf(fc, fp);
-                self.prf_ready[i] = NOT_READY;
-                self.fl[fc.index()].push(fp);
-            }
-        }
-        for (c, p) in allocs.drain(..) {
-            self.tracker.on_squash_alloc(c, p);
-        }
+        let stall = self.tracker.recovery_stall_cycles(squashed);
+        self.rename_stall_until = self.rename_stall_until.max(self.now + stall);
+        self.stats.tracker_recovery_stalls += stall;
+        self.stats.squashed_uops += squashed as u64;
     }
 
     /// Hands a retired fetch snapshot back to the pool (bounded).
@@ -840,22 +846,6 @@ impl Simulator {
         while let Some(p) = self.pipe.pop_front() {
             if let Some(snap) = p.pred.and_then(|pr| pr.snap) {
                 self.recycle_snap(snap);
-            }
-        }
-    }
-
-    /// Collects a squashed entry's tracker-relevant events.
-    fn collect_squash(
-        e: &RobCold,
-        shares: &mut Vec<(RegClass, PhysReg)>,
-        allocs: &mut Vec<(RegClass, PhysReg)>,
-    ) {
-        if let Some(s) = e.share.as_ref() {
-            shares.push((s.class, s.preg));
-        }
-        if let Some(d) = e.dst {
-            if d.fresh_alloc {
-                allocs.push((d.arch.class(), d.new_preg));
             }
         }
     }
@@ -982,17 +972,9 @@ impl Simulator {
         };
         hot.read_scheduled = true;
         let uid = hot.uid;
-        let mut wake = None;
-        if let Some(d) = cold.dst {
-            if cold.bypass.is_none() {
-                // Normal load: its register becomes ready at completion.
-                let i = d.arch.class().index() * self.cfg.pregs_per_class + d.new_preg.index();
-                self.prf_ready[i] = done;
-                wake = Some(i);
-            }
-        }
-        if let Some(i) = wake {
-            self.wake_waiters(i);
+        // Normal load: its register becomes ready at completion.
+        if let Some(d) = cold.dst.filter(|_| cold.bypass.is_none()) {
+            self.set_ready(self.prf(d.arch.class(), d.new_preg), done);
         }
         self.schedule(done.max(self.now + 1), Event::Complete { seq, uid });
     }
@@ -1030,19 +1012,10 @@ impl Simulator {
         );
 
         // 1. Squash younger µ-ops.
-        let mut squashed = 0usize;
-        let mut dead_ckpts = std::mem::take(&mut self.scratch.dead_ckpts);
-        let mut shares = std::mem::take(&mut self.scratch.shares);
-        let mut allocs = std::mem::take(&mut self.scratch.allocs);
-        self.rob.squash_younger(seq, |_, victim| {
-            squashed += 1;
-            if let Some(vb) = &victim.branch {
-                if let Some(id) = vb.ckpt {
-                    dead_ckpts.push(id);
-                }
-            }
-            Self::collect_squash(victim, &mut shares, &mut allocs);
-        });
+        let scratch = &mut self.scratch;
+        let squashed = self
+            .rob
+            .squash_younger(seq, |_, victim| scratch.collect_squash(victim));
         // Every IQ entry is in flight and paired with a ROB entry, so the
         // squashed set is exactly the suffix younger than the branch: one
         // ordered retain, not an O(IQ × squashed) membership scan.
@@ -1053,16 +1026,7 @@ impl Simulator {
         self.iq_wait.truncate(self.iq.len());
         self.lq.squash_younger(seq);
         self.sq.squash_younger(seq);
-        self.stats.squashed_uops += squashed as u64;
-        for id in dead_ckpts.drain(..) {
-            if let Some(ck) = self.ckpts.remove(&id) {
-                self.recycle_snap(ck.fetch);
-            }
-        }
-        self.scratch.dead_ckpts = dead_ckpts;
-        self.run_squash_walk(&mut shares, &mut allocs);
-        self.scratch.shares = shares;
-        self.scratch.allocs = allocs;
+        self.undo_squashed();
 
         // 2. Restore rename state from the branch's checkpoint.
         let ck = b
@@ -1073,15 +1037,7 @@ impl Simulator {
         for c in 0..2 {
             self.fl[c].restore_head(ck.fl_heads[c]);
         }
-        let mut freed = std::mem::take(&mut self.scratch.freed);
-        self.tracker.restore(ck.tracker, &mut freed);
-        for (class, preg) in freed.drain(..) {
-            self.trace_preg("restore-free", class, preg, "");
-            let i = self.prf(class, preg);
-            self.prf_ready[i] = NOT_READY;
-            self.fl[class.index()].push(preg);
-        }
-        self.scratch.freed = freed;
+        self.restore_tracker(Some(ck.tracker));
 
         // 3. Restore front-end history and push the *actual* outcome.
         let taken = b.taken || b.kind != BranchKind::Conditional;
@@ -1096,14 +1052,7 @@ impl Simulator {
         self.recycle_snap(ck.fetch);
 
         // 4. Redirect fetch past the branch.
-        self.clear_pipe();
-        self.pending_fetch = None;
-        self.last_fetch_line = Addr::MAX;
-        self.stream.recover_to(seq.next());
-        self.fetch_stall_until = self.now + 1;
-        let stall = self.tracker.recovery_stall_cycles(squashed);
-        self.rename_stall_until = self.rename_stall_until.max(self.now + stall);
-        self.stats.tracker_recovery_stalls += stall;
+        self.redirect_fetch(seq.next(), squashed);
 
         // 5. The branch itself is now resolved.
         if let Some(cold) = self.rob.cold_mut(seq) {
@@ -1168,12 +1117,7 @@ impl Simulator {
         // selection needs no per-cycle sort.
         debug_assert!(self.iq.windows(2).all(|w| w[0].seq < w[1].seq));
         let mut issued = 0usize;
-        let mut alu = 0usize;
-        let mut mul = 0usize;
-        let mut fp = 0usize;
-        let mut fpmul = 0usize;
-        let mut mem_shared = 0usize;
-        let mut store_only = 0usize;
+        let mut used = [0usize; POOLS];
         let mut remove = std::mem::take(&mut self.scratch.issued);
 
         for i in 0..self.iq.len() {
@@ -1212,80 +1156,7 @@ impl Simulator {
                     continue;
                 }
             }
-            let q = &self.iq[i];
-            // Functional unit availability.
-            let ok = match q.class {
-                ExecClass::IntAlu => {
-                    if alu < self.cfg.alu_units {
-                        alu += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::IntMul => {
-                    let free = self.int_div_busy.iter().filter(|&&b| b <= self.now).count();
-                    if mul < free {
-                        mul += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::IntDiv => {
-                    if let Some(u) = self.int_div_busy.iter_mut().find(|b| **b <= self.now) {
-                        *u = self.now + latency(ExecClass::IntDiv);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::FpAdd => {
-                    if fp < self.cfg.fp_units {
-                        fp += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::FpMul => {
-                    let free = self.fp_div_busy.iter().filter(|&&b| b <= self.now).count();
-                    if fpmul < free {
-                        fpmul += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::FpDiv => {
-                    if let Some(u) = self.fp_div_busy.iter_mut().find(|b| **b <= self.now) {
-                        *u = self.now + latency(ExecClass::FpDiv);
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::Load => {
-                    if mem_shared < self.cfg.mem_ports {
-                        mem_shared += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-                ExecClass::Store => {
-                    if store_only < self.cfg.store_ports {
-                        store_only += 1;
-                        true
-                    } else if mem_shared < self.cfg.mem_ports {
-                        mem_shared += 1;
-                        true
-                    } else {
-                        false
-                    }
-                }
-            };
-            if !ok {
+            if !self.claim_unit(self.iq[i].class, &mut used) {
                 continue;
             }
             issued += 1;
@@ -1314,6 +1185,34 @@ impl Simulator {
         self.scratch.issued = remove;
     }
 
+    /// Claims a functional unit for a µ-op of `class` issuing this cycle.
+    /// `used` counts the slots already taken in each pipelined pool (see
+    /// `POOLS`); a multiply may issue on each mul/div unit that is not
+    /// busy dividing, and a divide books a free unit for its whole latency.
+    fn claim_unit(&mut self, class: ExecClass, used: &mut [usize; POOLS]) -> bool {
+        let now = self.now;
+        let mut take = |pool: usize, cap: usize| {
+            let ok = used[pool] < cap;
+            used[pool] += usize::from(ok);
+            ok
+        };
+        let idle = |busy: &[u64]| busy.iter().filter(|&&b| b <= now).count();
+        let book = |busy: &mut [u64]| {
+            let unit = busy.iter_mut().find(|b| **b <= now);
+            unit.map(|u| *u = now + latency(class)).is_some()
+        };
+        match class {
+            ExecClass::IntAlu => take(0, self.cfg.alu_units),
+            ExecClass::IntMul => take(1, idle(&self.int_div_busy)),
+            ExecClass::FpAdd => take(2, self.cfg.fp_units),
+            ExecClass::FpMul => take(3, idle(&self.fp_div_busy)),
+            ExecClass::Load => take(4, self.cfg.mem_ports),
+            ExecClass::Store => take(5, self.cfg.store_ports) || take(4, self.cfg.mem_ports),
+            ExecClass::IntDiv => book(&mut self.int_div_busy),
+            ExecClass::FpDiv => book(&mut self.fp_div_busy),
+        }
+    }
+
     /// Schedules execution events for an issued µ-op.
     fn dispatch_execution(&mut self, q: &IqEntry) {
         let seq = q.seq;
@@ -1337,21 +1236,11 @@ impl Simulator {
             }
             c => {
                 let done = self.now + latency(c);
-                let mut uid = 0;
-                let mut wake = None;
-                if let Some((hot, cold)) = self.rob.get(seq) {
-                    uid = hot.uid;
-                    if let Some(d) = cold.dst {
-                        if !hot.eliminated {
-                            let i = d.arch.class().index() * self.cfg.pregs_per_class
-                                + d.new_preg.index();
-                            self.prf_ready[i] = done;
-                            wake = Some(i);
-                        }
-                    }
-                }
-                if let Some(i) = wake {
-                    self.wake_waiters(i);
+                let (uid, dst) = self.rob.get(seq).map_or((0, None), |(hot, cold)| {
+                    (hot.uid, cold.dst.filter(|_| !hot.eliminated))
+                });
+                if let Some(d) = dst {
+                    self.set_ready(self.prf(d.arch.class(), d.new_preg), done);
                 }
                 self.schedule(done, Event::Complete { seq, uid });
             }
@@ -1409,16 +1298,7 @@ impl Simulator {
         let mut srcs = [0u32; 4];
         let mut n_srcs = 0u8;
         for s in uop.sources() {
-            let p = self.rm.lookup(s);
-            if self.trace_target.is_some() {
-                self.trace_preg(
-                    "read-src",
-                    s.class(),
-                    p,
-                    &format!("seq={seq} arch={s} wp={}", uop.wrong_path),
-                );
-            }
-            srcs[n_srcs as usize] = self.prf(s.class(), p) as u32;
+            srcs[n_srcs as usize] = self.prf(s.class(), self.rm.lookup(s)) as u32;
             n_srcs += 1;
         }
 
@@ -1439,54 +1319,34 @@ impl Simulator {
         // --- Move elimination (§2) ---
         let mut eliminated = false;
         let mut share: Option<ShareRequest> = None;
-        let mut new_preg: Option<PhysReg> = None;
-        if self.cfg.move_elimination && uop.kind.eliminable_move() {
-            let class_ok = match uop.kind {
-                UopKind::Move {
-                    class: RegClass::Fp,
-                    ..
-                } => self.cfg.me_fp_moves,
-                _ => true,
+        let fp_move = matches!(
+            uop.kind,
+            UopKind::Move {
+                class: RegClass::Fp,
+                ..
+            }
+        );
+        if self.cfg.move_elimination
+            && uop.kind.eliminable_move()
+            && (self.cfg.me_fp_moves || !fp_move)
+        {
+            let dst = uop.dst.expect("move has dst");
+            let src = uop.srcs[0].expect("move has src");
+            let req = ShareRequest {
+                class: dst.class(),
+                preg: self.rm.lookup(src),
+                kind: ShareKind::MoveElim {
+                    arch_dst: dst,
+                    arch_src: src,
+                },
             };
-            if class_ok {
-                let dst = uop.dst.expect("move has dst");
-                let src = uop.srcs[0].expect("move has src");
-                let src_preg = self.rm.lookup(src);
-                let ports_ok = self.cfg.tracker_rename_ports == 0
-                    || *rename_cams < self.cfg.tracker_rename_ports;
-                if ports_ok {
-                    *rename_cams += 1;
-                    let req = ShareRequest {
-                        class: dst.class(),
-                        preg: src_preg,
-                        kind: ShareKind::MoveElim {
-                            arch_dst: dst,
-                            arch_src: src,
-                        },
-                    };
-                    if self.tracker.try_share(&req) {
-                        if self.trace_target.is_some() {
-                            self.trace_preg(
-                                "share-me",
-                                dst.class(),
-                                src_preg,
-                                &format!("seq={seq} dst={dst} src={src}"),
-                            );
-                        }
-                        eliminated = true;
-                        share = Some(req);
-                        new_preg = Some(src_preg);
-                        self.note_share(seq);
-                        self.stats.moves_eliminated += 1;
-                        self.rm.set_shared_flag(src, true);
-                    } else {
-                        self.stats.moves_not_eliminated += 1;
-                        self.stats.bypass_aborted_tracker += 1;
-                    }
-                } else {
-                    self.stats.moves_not_eliminated += 1;
-                    self.stats.bypass_aborted_ports += 1;
-                }
+            if self.share_at_rename(&req, seq, rename_cams) {
+                eliminated = true;
+                share = Some(req);
+                self.stats.moves_eliminated += 1;
+                self.rm.set_shared_flag(src, true);
+            } else {
+                self.stats.moves_not_eliminated += 1;
             }
         }
 
@@ -1521,40 +1381,20 @@ impl Simulator {
                     });
                     match candidate {
                         Some((preg, from_committed)) => {
-                            let ports_ok = self.cfg.tracker_rename_ports == 0
-                                || *rename_cams < self.cfg.tracker_rename_ports;
-                            if ports_ok {
-                                *rename_cams += 1;
-                                let req = ShareRequest {
-                                    class: dst.class(),
+                            let req = ShareRequest {
+                                class: dst.class(),
+                                preg,
+                                kind: ShareKind::Bypass { arch_dst: dst },
+                            };
+                            if self.share_at_rename(&req, seq, rename_cams) {
+                                bypass = Some(BypassInfo {
                                     preg,
-                                    kind: ShareKind::Bypass { arch_dst: dst },
-                                };
-                                if self.tracker.try_share(&req) {
-                                    if self.trace_target.is_some() {
-                                        self.trace_preg(
-                                            "share-smb",
-                                            dst.class(),
-                                            preg,
-                                            &format!("seq={seq} dst={dst}"),
-                                        );
-                                    }
-                                    let correct =
-                                        self.prf_value[self.prf(dst.class(), preg)] == uop.result;
-                                    bypass = Some(BypassInfo {
-                                        preg,
-                                        class: dst.class(),
-                                        correct,
-                                        from_committed,
-                                    });
-                                    share = Some(req);
-                                    new_preg = Some(preg);
-                                    self.note_share(seq);
-                                } else {
-                                    self.stats.bypass_aborted_tracker += 1;
-                                }
-                            } else {
-                                self.stats.bypass_aborted_ports += 1;
+                                    class: dst.class(),
+                                    correct: self.prf_value[self.prf(dst.class(), preg)]
+                                        == uop.result,
+                                    from_committed,
+                                });
+                                share = Some(req);
                             }
                         }
                         None => self.stats.bypass_no_producer += 1,
@@ -1567,14 +1407,11 @@ impl Simulator {
         let mut dst_info: Option<DstInfo> = None;
         if let Some(dst) = uop.dst {
             let class = dst.class();
-            let fresh = new_preg.is_none();
-            let preg = match new_preg {
-                Some(p) => p,
+            let fresh = share.is_none();
+            let preg = match share {
+                Some(s) => s.preg,
                 None => {
                     let p = self.fl[class.index()].pop().expect("FL checked nonempty");
-                    if self.trace_target.is_some() {
-                        self.trace_preg("alloc", class, p, &format!("seq={seq} dst={dst}"));
-                    }
                     self.tracker.on_alloc(class, p);
                     let i = self.prf(class, p);
                     self.prf_value[i] = uop.result;
@@ -1730,20 +1567,30 @@ impl Simulator {
         }
     }
 
-    #[doc(hidden)]
-    pub fn trace_preg(&self, what: &str, class: RegClass, preg: PhysReg, extra: &str) {
-        if let Some((tc, tp)) = self.trace_target {
-            if tc == class && tp == preg.index() {
-                eprintln!("[{}] {what} {class} {preg} {extra}", self.now);
-            }
+    /// One rename-time sharing attempt, ME or SMB alike: claims a tracker
+    /// rename CAM port (§4.3.4), asks the tracker to share `req.preg`, and
+    /// counts why the attempt aborted. Returns whether the share was taken.
+    fn share_at_rename(
+        &mut self,
+        req: &ShareRequest,
+        seq: SeqNum,
+        rename_cams: &mut usize,
+    ) -> bool {
+        let ports = self.cfg.tracker_rename_ports;
+        if ports != 0 && *rename_cams >= ports {
+            self.stats.bypass_aborted_ports += 1;
+            return false;
         }
-    }
-
-    fn note_share(&mut self, seq: SeqNum) {
+        *rename_cams += 1;
+        if !self.tracker.try_share(req) {
+            self.stats.bypass_aborted_tracker += 1;
+            return false;
+        }
         if let Some(last) = self.last_share_seq {
             self.stats.share_distance.add(seq.0.saturating_sub(last));
         }
         self.last_share_seq = Some(seq.0);
+        true
     }
 
     // ------------------------------------------------------------------
