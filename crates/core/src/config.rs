@@ -9,6 +9,14 @@ use regshare_refcount::{
 };
 use regshare_types::ARCH_REGS_PER_CLASS;
 
+/// Largest size [`CoreConfig::validate`] accepts for a register file or a
+/// window structure: the range of a 16-bit [`PhysReg`] index. A larger PRF
+/// would alias registers silently, and any larger structure is a request
+/// for memory no modelled machine needs.
+///
+/// [`PhysReg`]: regshare_types::PhysReg
+pub const MAX_STRUCTURE_ENTRIES: usize = 1 << 16;
+
 /// A structural problem in a [`CoreConfig`] that would make the simulator
 /// deadlock, panic, or silently model a machine that cannot exist.
 ///
@@ -34,6 +42,15 @@ pub enum ConfigError {
         pregs: usize,
         /// Minimum legal value (`ARCH_REGS_PER_CLASS + 1`).
         min: usize,
+    },
+    /// A structure larger than [`MAX_STRUCTURE_ENTRIES`]: `pregs_per_class`,
+    /// `rob_entries`, `iq_entries`, `lq_entries`, `sq_entries`, or the
+    /// entries of a `mit` / `rda` tracker.
+    TooLarge {
+        /// The offending field.
+        field: &'static str,
+        /// The rejected size.
+        entries: usize,
     },
     /// A finite ISRB with more entries than physical registers: each entry
     /// tracks one shared register, so the excess entries are unreachable
@@ -80,6 +97,10 @@ impl std::fmt::Display for ConfigError {
                 "pregs_per_class = {pregs} cannot cover the {} architectural registers \
                  (minimum {min})",
                 ARCH_REGS_PER_CLASS
+            ),
+            ConfigError::TooLarge { field, entries } => write!(
+                f,
+                "{field} = {entries} is larger than the maximum {MAX_STRUCTURE_ENTRIES}"
             ),
             ConfigError::IsrbExceedsPrf { entries, pregs } => write!(
                 f,
@@ -333,7 +354,8 @@ impl CoreConfig {
     }
 
     /// Checks the configuration for structural impossibilities — zero
-    /// widths, empty windows, an ISRB larger than the PRF, zero-width
+    /// widths, empty windows, structures above [`MAX_STRUCTURE_ENTRIES`],
+    /// an ISRB larger than the PRF, zero-width
     /// counters, a zero squash-walk width — returning the first problem as
     /// a typed [`ConfigError`]. Hand-mutated configs used to silently
     /// deadlock or model nonsense machines; every scenario entry point
@@ -348,6 +370,11 @@ impl CoreConfig {
                 return Err(ConfigError::ZeroWidth(field));
             }
         }
+        let tracker_entries = match self.tracker {
+            TrackerKind::Mit { entries } => Some(("mit entries", entries)),
+            TrackerKind::Rda { entries, .. } => Some(("rda entries", entries)),
+            _ => None,
+        };
         for (field, v) in [
             ("rob_entries", self.rob_entries),
             ("iq_entries", self.iq_entries),
@@ -356,6 +383,18 @@ impl CoreConfig {
         ] {
             if v == 0 {
                 return Err(ConfigError::ZeroCapacity(field));
+            }
+        }
+        let sized = [
+            ("pregs_per_class", self.pregs_per_class),
+            ("rob_entries", self.rob_entries),
+            ("iq_entries", self.iq_entries),
+            ("lq_entries", self.lq_entries),
+            ("sq_entries", self.sq_entries),
+        ];
+        for (field, entries) in sized.into_iter().chain(tracker_entries) {
+            if entries > MAX_STRUCTURE_ENTRIES {
+                return Err(ConfigError::TooLarge { field, entries });
             }
         }
         for (field, v) in [

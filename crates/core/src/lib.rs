@@ -41,7 +41,9 @@ pub mod rob;
 pub mod sim;
 pub mod stats;
 
-pub use config::{ConfigError, CoreConfig, DistancePredictorKind, TrackerKind};
+pub use config::{
+    ConfigError, CoreConfig, DistancePredictorKind, TrackerKind, MAX_STRUCTURE_ENTRIES,
+};
 pub use regshare_refcount::SharingTracker;
 pub use sim::Simulator;
 pub use stats::SimStats;

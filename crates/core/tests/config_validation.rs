@@ -3,7 +3,7 @@
 //! validation existed these configs silently deadlocked the simulator or
 //! modelled machines that cannot exist.
 
-use regshare_core::{ConfigError, CoreConfig, TrackerKind};
+use regshare_core::{ConfigError, CoreConfig, TrackerKind, MAX_STRUCTURE_ENTRIES};
 use regshare_refcount::IsrbConfig;
 
 /// Validates the Table 1 machine after `mutate` has been applied to it.
@@ -120,6 +120,44 @@ fn prf_must_cover_the_architectural_registers() {
 }
 
 #[test]
+fn structures_beyond_a_physreg_index_are_rejected() {
+    // A `PhysReg` index is 16 bits: 65 536 registers per class is the
+    // largest file that does not alias, and no other structure may be
+    // sized beyond it either (a request could otherwise allocate
+    // gigabytes before its first cycle).
+    type Set = fn(&mut CoreConfig, usize);
+    let fields: [(&str, Set); 7] = [
+        ("pregs_per_class", |c, n| c.pregs_per_class = n),
+        ("rob_entries", |c, n| c.rob_entries = n),
+        ("iq_entries", |c, n| c.iq_entries = n),
+        ("lq_entries", |c, n| c.lq_entries = n),
+        ("sq_entries", |c, n| c.sq_entries = n),
+        ("mit entries", |c, n| {
+            c.tracker = TrackerKind::Mit { entries: n }
+        }),
+        ("rda entries", |c, n| {
+            c.tracker = TrackerKind::Rda {
+                entries: n,
+                counter_bits: 3,
+            }
+        }),
+    ];
+    assert_eq!(MAX_STRUCTURE_ENTRIES, 65_536);
+    for (field, set) in fields {
+        assert_eq!(check(|c| set(c, MAX_STRUCTURE_ENTRIES)), Ok(()), "{field}");
+        let err = check(|c| set(c, 65_537)).unwrap_err();
+        assert_eq!(
+            err,
+            ConfigError::TooLarge {
+                field,
+                entries: 65_537
+            }
+        );
+        assert!(err.to_string().contains(field), "message names the field");
+    }
+}
+
+#[test]
 fn isrb_larger_than_prf_is_rejected() {
     let err = sized(64, 65).unwrap_err();
     assert_eq!(
@@ -218,6 +256,7 @@ fn every_config_error_variant_has_a_rejection_path_and_message() {
             ConfigError::ZeroCapacity(_) => "at least one entry",
             ConfigError::ZeroUnits(_) => "must be non-zero",
             ConfigError::PrfTooSmall { .. } => "architectural registers",
+            ConfigError::TooLarge { .. } => "larger than the maximum",
             ConfigError::IsrbExceedsPrf { .. } => "larger than",
             ConfigError::CounterBitsOutOfRange { .. } => "outside 1..=31",
             ConfigError::ZeroWalkWidth => "walk_width",
@@ -247,6 +286,14 @@ fn every_config_error_variant_has_a_rejection_path_and_message() {
             "prf too small",
             Box::new(|c| c.pregs_per_class = 16),
             ConfigError::PrfTooSmall { pregs: 16, min: 17 },
+        ),
+        (
+            "too large",
+            Box::new(|c| c.rob_entries = MAX_STRUCTURE_ENTRIES + 1),
+            ConfigError::TooLarge {
+                field: "rob_entries",
+                entries: MAX_STRUCTURE_ENTRIES + 1,
+            },
         ),
         (
             "isrb exceeds prf",
@@ -326,7 +373,7 @@ fn every_config_error_variant_has_a_rejection_path_and_message() {
     }
     assert_eq!(
         covered_variants.len(),
-        9,
+        10,
         "one case per ConfigError variant"
     );
 }

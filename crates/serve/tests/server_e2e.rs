@@ -204,6 +204,29 @@ fn oversized_requests_are_refused_before_resolving() {
 }
 
 #[test]
+fn oversized_machines_are_refused_before_simulating() {
+    let dir = TempDir::new("bigmachine");
+    let (addr, handle, engine) = start_server("127.0.0.1:0", &dir);
+    let mut conn = Connection::connect(&addr, 5).unwrap();
+
+    // One cell, but a register file of four billion entries per class:
+    // refused by config validation before any structure is allocated.
+    let huge = "name = \"bigprf\"\nworkloads = [\"crafty\"]\n\
+                \n[variant.base]\npreset = \"hpca16\"\npregs_per_class = 4000000000\n";
+    let err = conn.run(huge, Format::Table).unwrap().unwrap_err();
+    assert!(err.starts_with("scenario: "), "got {err:?}");
+    assert!(err.contains("pregs_per_class = 4000000000"), "got {err:?}");
+    assert!(!err.contains('\n'), "error replies are one line");
+    assert_eq!(engine.requests(), 0, "refused before it was accepted");
+
+    let pong = conn.ping().unwrap().unwrap();
+    assert_eq!(pong.meta, "pong len=0");
+
+    conn.shutdown().unwrap().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
 fn malformed_commands_get_protocol_errors() {
     use std::io::{BufRead, BufReader, Write};
     let dir = TempDir::new("proto");
