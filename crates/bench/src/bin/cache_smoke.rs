@@ -5,17 +5,39 @@
 //!
 //! Accepts the standard scenario front-door flags (`--preset`,
 //! `--scenario`, `--warmup`, `--measure`, `--jobs`); defaults to the
-//! `smoke` preset. `--cache-dir` is refused: cells served from disk would
-//! skip the front end this gate measures.
+//! `smoke` preset at a 2 000 + 8 000 µ-op window unless a flag or the
+//! scenario file sets one. A window longer than the stream cache's
+//! `RECORD_CAP` is refused (exit 2): warm streams would run live past the
+//! recorded prefix, so the gate could only fail. `--cache-dir` is refused
+//! too: cells served from disk would skip the front end this gate
+//! measures.
+//!
+//! Stdout is deterministic (run it twice and diff). The cold pass's decode
+//! count goes to stderr: it depends on which worker records a shared
+//! stream first, so it changes from run to run.
 
 use regshare_bench::cli::run_front_door;
 use regshare_bench::run_scenario;
+use regshare_isa::stream::RECORD_CAP;
 use regshare_isa::stream_cache_stats;
 
+/// The default window: the one CI runs.
+const WARMUP: u64 = 2_000;
+const MEASURE: u64 = 8_000;
+
 fn main() {
-    let (args, scenario) = run_front_door("cache_smoke", "smoke");
+    let (args, mut scenario) = run_front_door("cache_smoke", "smoke");
     if args.cache_dir.is_some() {
         eprintln!("cache_smoke: --cache-dir is not supported (the gate must simulate every cell)");
+        std::process::exit(2);
+    }
+    let warmup = *scenario.options.warmup.get_or_insert(WARMUP);
+    let measure = *scenario.options.measure.get_or_insert(MEASURE);
+    if warmup.saturating_add(measure) > RECORD_CAP as u64 {
+        eprintln!(
+            "cache_smoke: a {warmup} + {measure} µ-op window exceeds the stream cache's \
+             RECORD_CAP of {RECORD_CAP} µ-ops; warm runs would decode past it"
+        );
         std::process::exit(2);
     }
 
@@ -37,10 +59,8 @@ fn main() {
     let warm_decodes = after_warm.oracle_decodes - after_cold.oracle_decodes;
     let warm_replays = after_warm.replayed_uops - after_cold.replayed_uops;
 
-    println!(
-        "cache_smoke: cold pass decoded {cold_decodes} uops; \
-         warm pass decoded {warm_decodes}, replayed {warm_replays}"
-    );
+    eprintln!("cache_smoke: cold pass decoded {cold_decodes} uops");
+    println!("cache_smoke: warm pass decoded {warm_decodes}, replayed {warm_replays}");
 
     let mut failed = false;
     if cold_decodes == 0 {

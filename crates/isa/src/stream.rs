@@ -23,11 +23,11 @@ struct BufEntry {
     fork: Option<Box<ForkState>>,
 }
 
-/// Longest correct-path prefix recorded per stream. Streams that run past
-/// the cap replay the cached prefix and continue live from the exact
-/// replayed machine state, so the cap only bounds memory, never changes
-/// behavior.
-const RECORD_CAP: usize = 1 << 16;
+/// Longest correct-path prefix recorded per stream, in µ-ops. Streams that
+/// run past the cap replay the cached prefix and continue live from the
+/// exact replayed machine state, so the cap only bounds memory, never
+/// changes behavior.
+pub const RECORD_CAP: usize = 1 << 16;
 
 /// Maximum cached streams. When full the whole cache is cleared before the
 /// next publish (generational eviction): fuzz soaks and sweeps are
