@@ -301,14 +301,16 @@ impl Shared {
         .map_err(panic_detail);
         let outcome = match outcome {
             Ok(m) => {
-                self.computed.fetch_add(1, Ordering::Relaxed);
                 // Persist before publishing: once the slot is filled and
                 // the in-flight entry removed, later lookups must find the
                 // cache hit. Failures are NOT persisted — a retry gets a
-                // fresh computation, not a replayed panic.
+                // fresh computation, not a replayed panic. The cell is
+                // counted only once stored, so `computed_cells` never runs
+                // ahead of the cache.
                 if let Err(e) = self.cache.store(key, &workload, &m.stats) {
                     eprintln!("serve: cache store failed (serving from memory): {e}");
                 }
+                self.computed.fetch_add(1, Ordering::Relaxed);
                 Ok(m.stats)
             }
             Err(detail) => Err(detail),
