@@ -538,114 +538,96 @@ impl Simulator {
     /// Commits the head µ-op (must be completed and trap-free).
     fn commit_one(&mut self) {
         let (hot, cold) = self.rob.commit_head();
-        let seq = hot.seq;
-        let pc = cold.pc;
-        let kind = hot.kind;
-        let dst = cold.dst;
-        let share = cold.share;
-        let mem = cold.mem;
-        let store_data = cold.store_data;
-        let history = cold.history;
-        let result = cold.result;
-        let branch = cold.branch;
-        let lq_idx = cold.lq;
-        let sq_idx = cold.sq;
-        let bypass = cold.bypass;
+        let (seq, kind, pc) = (hot.seq, hot.kind, cold.pc);
 
         self.stats.committed += 1;
-        self.arch_digest = mix64(self.arch_digest ^ pc).wrapping_add(mix64(result));
+        self.arch_digest = mix64(self.arch_digest ^ pc).wrapping_add(mix64(cold.result));
 
         // Branch: train predictors, advance architectural history.
-        if let Some(b) = &branch {
-            if b.kind == BranchKind::Conditional {
+        if let Some(b) = &cold.branch {
+            let conditional = b.kind == BranchKind::Conditional;
+            if conditional {
                 self.stats.branches += 1;
             }
-            let taken = b.taken || b.kind != BranchKind::Conditional;
+            let taken = b.taken || !conditional;
             self.tage.advance_snapshot(&mut self.arch_tage, taken, pc);
             self.arch_hist = self.arch_hist.push(taken, pc);
             match b.kind {
-                BranchKind::Call => self.arch_ras.push(b.actual_next.saturating_sub(0)),
+                BranchKind::Call => self.arch_ras.push(b.actual_next),
                 BranchKind::Return => {
                     let _ = self.arch_ras.pop();
                 }
                 _ => {}
             }
-            if let Some(id) = b.ckpt {
-                if let Some(ck) = self.ckpts.remove(&id) {
-                    self.tracker.release_checkpoint(ck.tracker);
-                    self.recycle_snap(ck.fetch);
-                }
+            if let Some(ck) = b.ckpt.and_then(|id| self.ckpts.remove(&id)) {
+                self.tracker.release_checkpoint(ck.tracker);
+                self.recycle_snap(ck.fetch);
             }
-        }
-        // TAGE direction training for conditionals.
-        if let Some((tp, taken)) = self.take_tage_pred(seq, &branch) {
-            self.tage.train(pc, &tp, taken);
-            if self.tage_pool.len() < TAGE_POOL_CAP {
-                self.tage_pool.push(tp);
+            // TAGE direction training for conditionals.
+            let tage_pred = conditional.then(|| self.rob.take_tage_pred(seq));
+            if let Some(tp) = tage_pred.flatten() {
+                self.tage.train(pc, &tp, b.taken);
+                if self.tage_pool.len() < TAGE_POOL_CAP {
+                    self.tage_pool.push(tp);
+                }
             }
         }
 
         // Sharer commit (architectural reference image).
-        if let Some(s) = &share {
+        if let Some(s) = &cold.share {
             self.tracker.on_sharer_commit(s);
         }
 
         // Memory side.
         if kind == UopKind::Store {
             self.stats.stores += 1;
-            let m = mem.expect("store has memref");
+            let m = cold.mem.expect("store has memref");
             self.mem.store_commit(pc, m.addr, Cycle(self.now));
             // DDT: record the CSN of the instruction that produced the data.
             // Full-width stores only: a sub-word store's data register does
             // not carry the memory value a later load would read, so a
             // bypass built on it can never validate (§3 models compiler
             // spill/reload pairs, which are register-width by construction).
-            if let Some(data_reg) = store_data {
+            if let Some(data_reg) = cold.store_data {
                 if m.size == 8 {
                     if let Some(producer) = self.csn.producer(data_reg) {
                         self.ddt.store_commit(m.addr, producer);
                     }
                 }
             }
-            if let Some(i) = sq_idx {
+            if let Some(i) = cold.sq {
                 self.sq.free(i);
             }
         }
         if kind == UopKind::Load {
             self.stats.loads += 1;
-            let m = mem.expect("load has memref");
-            // Distance extraction + predictor training (§3.1).
-            let observed = self
-                .ddt
-                .load_lookup(m.addr)
-                .and_then(|p| seq.distance_from(p))
-                .filter(|&d| d >= 1);
-            self.dist_pred.train(pc, history, observed);
+            let m = cold.mem.expect("load has memref");
+            self.train_distance(seq, pc, cold.history, m.addr);
             if self.cfg.smb_load_load && m.size == 8 {
                 // Load-load generalization: deposit own CSN (full-width
                 // loads only, same width rule as stores above).
                 self.ddt.store_commit(m.addr, seq);
             }
-            if bypass.is_some() {
+            if let Some(b) = cold.bypass {
                 self.stats.loads_bypassed += 1;
-                if bypass.is_some_and(|b| b.from_committed) {
+                if b.from_committed {
                     self.stats.bypass_from_committed += 1;
                 }
             }
-            if let Some(i) = lq_idx {
+            if let Some(i) = cold.lq {
                 self.lq.free(i);
             }
         }
 
         // Register side: CRM update; the reclaim itself is processed at
         // release (immediately in eager mode).
-        if let Some(d) = dst {
+        if let Some(d) = cold.dst {
             self.csn.define(d.arch, seq);
             let crm_old = self.crm.remap(d.arch, d.new_preg);
             debug_assert_eq!(crm_old, d.old_preg, "CRM/rename old-mapping mismatch");
             // Maintain CRM shared flags with the same §4.3.4 rules.
             let flag = match kind {
-                UopKind::Move { .. } => share.is_some(),
+                UopKind::Move { .. } => cold.share.is_some(),
                 UopKind::Load => self.cfg.smb,
                 _ => false,
             };
@@ -655,24 +637,21 @@ impl Simulator {
             }
         }
         if kind == UopKind::Store && self.cfg.smb {
-            if let Some(data_reg) = store_data {
+            if let Some(data_reg) = cold.store_data {
                 self.crm.set_shared_flag(data_reg, true);
             }
         }
     }
 
-    /// Extracts the TAGE prediction stored with a committed branch.
-    fn take_tage_pred(
-        &mut self,
-        seq: SeqNum,
-        branch: &Option<BranchInfo>,
-    ) -> Option<(Box<TagePrediction>, bool)> {
-        let b = branch.as_ref()?;
-        if b.kind != BranchKind::Conditional {
-            return None;
-        }
-        let tp = self.rob.take_tage_pred(seq)?;
-        Some((tp, b.taken))
+    /// Trains the distance predictor for the load `seq` at `pc` with its
+    /// observed distance to the last producer the DDT saw at `addr` (§3.1).
+    fn train_distance(&mut self, seq: SeqNum, pc: Addr, history: HistorySnapshot, addr: Addr) {
+        let observed = self
+            .ddt
+            .load_lookup(addr)
+            .and_then(|p| seq.distance_from(p))
+            .filter(|&d| d >= 1);
+        self.dist_pred.train(pc, history, observed);
     }
 
     /// Releases one committed entry, processing its register reclaim.
@@ -737,12 +716,7 @@ impl Simulator {
                 // Train toward the architecturally correct distance so
                 // later instances predict better.
                 if let Some(m) = mem {
-                    let observed = self
-                        .ddt
-                        .load_lookup(m.addr)
-                        .and_then(|p| seq.distance_from(p))
-                        .filter(|&d| d >= 1);
-                    self.dist_pred.train(pc, history, observed);
+                    self.train_distance(seq, pc, history, m.addr);
                 }
             }
         }
@@ -938,26 +912,16 @@ impl Simulator {
         let lq_idx = cold.lq.expect("load has LQ slot");
         match self.sq.load_action(seq, &m) {
             LoadAction::Forward { store_seq } => {
-                let done = self.now + self.cfg.stlf_latency;
                 self.stats.stlf_forwards += 1;
-                if let Some(l) = self.lq.get_mut(lq_idx) {
-                    l.read_started = true;
-                    l.fwd_from = Some(store_seq);
-                }
-                self.finish_load(seq, done);
+                let done = self.now + self.cfg.stlf_latency;
+                self.finish_load(seq, lq_idx, Some(store_seq), done);
             }
             LoadAction::WaitStoreCommit { .. } => {
                 // Parked: the pump retries next cycle (the blocking store
                 // will commit, be squashed, or execute further).
             }
             LoadAction::Cache => match self.mem.load(pc, m.addr, Cycle(self.now)) {
-                MemResult::Done(t) => {
-                    if let Some(l) = self.lq.get_mut(lq_idx) {
-                        l.read_started = true;
-                        l.fwd_from = None;
-                    }
-                    self.finish_load(seq, t.0);
-                }
+                MemResult::Done(t) => self.finish_load(seq, lq_idx, None, t.0),
                 MemResult::Retry => {
                     // MSHRs exhausted: parked, pump retries.
                 }
@@ -965,8 +929,14 @@ impl Simulator {
         }
     }
 
-    /// Schedules the load's completion and wakes dependents.
-    fn finish_load(&mut self, seq: SeqNum, done: u64) {
+    /// Starts the load's read (forwarded from the store `fwd_from`, or
+    /// from the cache), schedules its completion at `done` and wakes its
+    /// dependents.
+    fn finish_load(&mut self, seq: SeqNum, lq_idx: usize, fwd_from: Option<SeqNum>, done: u64) {
+        if let Some(l) = self.lq.get_mut(lq_idx) {
+            l.read_started = true;
+            l.fwd_from = fwd_from;
+        }
         let Some((hot, cold)) = self.rob.get_mut(seq) else {
             return;
         };
@@ -1407,7 +1377,6 @@ impl Simulator {
         let mut dst_info: Option<DstInfo> = None;
         if let Some(dst) = uop.dst {
             let class = dst.class();
-            let fresh = share.is_none();
             let preg = match share {
                 Some(s) => s.preg,
                 None => {
@@ -1423,19 +1392,13 @@ impl Simulator {
             let old = self.rm.remap(dst, preg);
             // §4.3.4 flag maintenance: ME set flags above; loads (under SMB)
             // flag their destination; everything else clears it.
-            let new_flag = if eliminated {
-                true
-            } else if uop.is_load() {
-                self.cfg.smb
-            } else {
-                false
-            };
-            self.rm.set_shared_flag(dst, new_flag);
+            self.rm
+                .set_shared_flag(dst, eliminated || (uop.is_load() && self.cfg.smb));
             dst_info = Some(DstInfo {
                 arch: dst,
                 new_preg: preg,
                 old_preg: old,
-                fresh_alloc: fresh,
+                fresh_alloc: share.is_none(),
                 needs_cam,
             });
         }
@@ -1490,26 +1453,24 @@ impl Simulator {
         }
 
         // --- Queue allocation ---
-        let mut lq_idx = None;
-        let mut sq_idx = None;
-        if uop.is_load() {
-            lq_idx = Some(self.lq.alloc(LqEntry {
+        let lq_idx = uop.is_load().then(|| {
+            self.lq.alloc(LqEntry {
                 seq,
                 rob_slot: 0,
                 mem: uop.mem.expect("load memref"),
                 read_started: false,
                 fwd_from: None,
                 bypassed_ok: bypass.is_some_and(|b| b.correct),
-            }));
-        }
-        if uop.is_store() {
-            sq_idx = Some(self.sq.alloc(SqEntry {
+            })
+        });
+        let sq_idx = uop.is_store().then(|| {
+            self.sq.alloc(SqEntry {
                 seq,
                 rob_slot: 0,
                 mem: uop.mem.expect("store memref"),
                 executed: false,
-            }));
-        }
+            })
+        });
 
         // --- ROB allocation ---
         self.next_uid += 1;
@@ -1546,18 +1507,16 @@ impl Simulator {
 
         // --- IQ ---
         if !eliminated {
-            let mut all_srcs = srcs;
-            let mut n = n_srcs;
             if let Some(b) = bypass {
                 // The bypassed register is an extra source (validation read).
-                all_srcs[n as usize] = self.prf(b.class, b.preg) as u32;
-                n += 1;
+                srcs[n_srcs as usize] = self.prf(b.class, b.preg) as u32;
+                n_srcs += 1;
             }
             let entry = IqEntry {
                 seq,
                 class: uop.kind.exec_class(),
-                srcs: all_srcs,
-                n_srcs: n,
+                srcs,
+                n_srcs,
                 dep_store,
                 waited_dep: false,
             };
