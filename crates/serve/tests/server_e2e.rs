@@ -193,21 +193,6 @@ fn oversized_requests_are_refused_before_resolving() {
     assert!(err.starts_with("scenario: "), "got {err:?}");
     assert!(err.contains("4294967295 cells"), "got {err:?}");
     assert!(!err.contains('\n'), "error replies are one line");
-    assert_eq!(engine.requests(), 0, "refused before it was accepted");
-
-    // The same connection keeps answering.
-    let pong = conn.ping().unwrap().unwrap();
-    assert_eq!(pong.meta, "pong len=0");
-
-    conn.shutdown().unwrap().unwrap();
-    handle.join().unwrap();
-}
-
-#[test]
-fn oversized_machines_are_refused_before_simulating() {
-    let dir = TempDir::new("bigmachine");
-    let (addr, handle, engine) = start_server("127.0.0.1:0", &dir);
-    let mut conn = Connection::connect(&addr, 5).unwrap();
 
     // One cell, but a register file of four billion entries per class:
     // refused by config validation before any structure is allocated.
@@ -217,8 +202,13 @@ fn oversized_machines_are_refused_before_simulating() {
     assert!(err.starts_with("scenario: "), "got {err:?}");
     assert!(err.contains("pregs_per_class = 4000000000"), "got {err:?}");
     assert!(!err.contains('\n'), "error replies are one line");
-    assert_eq!(engine.requests(), 0, "refused before it was accepted");
+    assert_eq!(
+        engine.requests(),
+        0,
+        "both refused before they were accepted"
+    );
 
+    // The same connection keeps answering.
     let pong = conn.ping().unwrap().unwrap();
     assert_eq!(pong.meta, "pong len=0");
 
