@@ -90,10 +90,10 @@ struct Checkpoint {
     fetch: Box<FetchSnap>,
 }
 
-/// Reusable buffers for the per-cycle and per-recovery work lists. All of
-/// them follow the same discipline: `mem::take` out of the simulator,
-/// fill/drain locally (sidestepping closure-vs-method borrow conflicts),
-/// clear, and put back — so `step()` never allocates in steady state.
+/// Reusable buffers for the per-cycle and per-recovery work lists. Each is
+/// filled and drained in place, or `mem::take`n out while a `&mut self`
+/// method runs over it and put back drained — so `step()` never allocates
+/// in steady state.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Squashed µ-ops' accepted shares (squash-walk pass 1).
