@@ -90,7 +90,7 @@ pub struct BranchInfo {
     /// Set at fetch when the prediction is known wrong; resolution at
     /// execute triggers recovery.
     pub mispredicted: bool,
-    /// Simulator-side checkpoint handle (index into its checkpoint table).
+    /// Simulator-side checkpoint handle (id in its checkpoint stack).
     pub ckpt: Option<u64>,
 }
 

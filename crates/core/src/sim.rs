@@ -18,8 +18,10 @@ use regshare_isa::FetchStream;
 use regshare_mem::{MemResult, MemorySystem};
 use regshare_predictors::tage::{TageHistory, TagePrediction};
 use regshare_predictors::{Btb, ReturnAddressStack, StoreSets, Tage};
-use regshare_refcount::{ReclaimDecision, ReclaimRequest, ShareKind, ShareRequest, SharingTracker};
-use regshare_types::hasher::{mix64, FastMap};
+use regshare_refcount::{
+    CheckpointStack, ReclaimDecision, ReclaimRequest, ShareKind, ShareRequest, SharingTracker,
+};
+use regshare_types::hasher::mix64;
 use regshare_types::{
     Addr, Cycle, HistorySnapshot, PhysReg, RegClass, SeqNum, ARCH_REGS_PER_CLASS,
 };
@@ -80,8 +82,7 @@ struct FetchSnap {
 /// The rename map is tiny (two 16-entry classes), so a flat copy *is* the
 /// compact checkpoint — it carries no heap. The fetch snapshot keeps the
 /// `Box` it was predicted into; dead checkpoints return it to the
-/// simulator's snapshot pool, so steady-state checkpoint traffic neither
-/// allocates nor frees.
+/// simulator's snapshot pool, which also serves `PredInfo`.
 #[derive(Debug)]
 struct Checkpoint {
     rm: RenameMap,
@@ -102,8 +103,6 @@ struct Scratch {
     allocs: Vec<(RegClass, PhysReg)>,
     /// Registers freed by a tracker restore.
     freed: Vec<(RegClass, PhysReg)>,
-    /// Checkpoints owned by squashed branches.
-    dead_ckpts: Vec<u64>,
     /// Parked loads to re-pump this cycle.
     retry: Vec<SeqNum>,
     /// IQ indices issued this cycle (ascending).
@@ -113,7 +112,7 @@ struct Scratch {
 }
 
 impl Scratch {
-    /// Collects a squashed entry's tracker events and its checkpoint.
+    /// Collects a squashed entry's tracker events.
     fn collect_squash(&mut self, e: &RobCold) {
         if let Some(s) = e.share.as_ref() {
             self.shares.push((s.class, s.preg));
@@ -121,15 +120,20 @@ impl Scratch {
         if let Some(d) = e.dst.filter(|d| d.fresh_alloc) {
             self.allocs.push((d.arch.class(), d.new_preg));
         }
-        if let Some(id) = e.branch.as_ref().and_then(|b| b.ckpt) {
-            self.dead_ckpts.push(id);
-        }
     }
 }
 
 /// Upper bound on pooled fetch snapshots: enough for every live checkpoint
 /// plus the whole fetch pipe; beyond that, retiring snapshots simply drop.
 const SNAP_POOL_CAP: usize = 256;
+
+/// Hands a retired fetch snapshot back to the pool (bounded).
+#[allow(clippy::vec_box)]
+fn recycle_snap(pool: &mut Vec<Box<FetchSnap>>, snap: Box<FetchSnap>) {
+    if pool.len() < SNAP_POOL_CAP {
+        pool.push(snap);
+    }
+}
 
 /// Bound on the retired TAGE-prediction box pool (see `tage_pool`).
 const TAGE_POOL_CAP: usize = 256;
@@ -211,9 +215,8 @@ pub struct Simulator {
     arch_ras: ReturnAddressStack,
     arch_hist: HistorySnapshot,
 
-    // checkpoints
-    ckpts: FastMap<u64, Checkpoint>,
-    next_ckpt: u64,
+    /// Rename checkpoints of the in-flight predicted branches.
+    ckpts: CheckpointStack<Checkpoint>,
 
     // hot-loop buffer reuse
     scratch: Scratch,
@@ -318,8 +321,7 @@ impl Simulator {
             spec_hist: HistorySnapshot::default(),
             arch_tage,
             arch_hist: HistorySnapshot::default(),
-            ckpts: FastMap::default(),
-            next_ckpt: 0,
+            ckpts: CheckpointStack::default(),
             scratch: Scratch::default(),
             snap_pool: Vec::new(),
             tage_pool: Vec::new(),
@@ -559,9 +561,9 @@ impl Simulator {
                 }
                 _ => {}
             }
-            if let Some(ck) = b.ckpt.and_then(|id| self.ckpts.remove(&id)) {
+            if let Some(ck) = b.ckpt.and_then(|id| self.ckpts.release(id)) {
                 self.tracker.release_checkpoint(ck.tracker);
-                self.recycle_snap(ck.fetch);
+                recycle_snap(&mut self.snap_pool, ck.fetch);
             }
             // TAGE direction training for conditionals.
             let tage_pred = conditional.then(|| self.rob.take_tage_pred(seq));
@@ -743,7 +745,8 @@ impl Simulator {
         }
         self.undo_squashed();
         // Every live checkpoint belonged to a squashed branch.
-        debug_assert!(self.ckpts.is_empty(), "checkpoint outlived its branch");
+        let pool = &mut self.snap_pool;
+        self.ckpts.drain(|ck| recycle_snap(pool, ck.fetch));
         self.restore_tracker(None);
 
         // Restore front-end state from the architectural images.
@@ -755,9 +758,8 @@ impl Simulator {
 
     /// Undoes the squashed µ-ops collected in `scratch`: drives the
     /// tracker's squash walk in two passes (shares first, then
-    /// allocations — see `SharingTracker::on_squash_share`), frees any
-    /// registers the walk uncovers, and recycles the squashed branches'
-    /// checkpoints.
+    /// allocations — see `SharingTracker::on_squash_share`) and frees any
+    /// registers the walk uncovers.
     fn undo_squashed(&mut self) {
         let mut shares = std::mem::take(&mut self.scratch.shares);
         for (c, p) in shares.drain(..) {
@@ -769,13 +771,6 @@ impl Simulator {
         for (c, p) in self.scratch.allocs.drain(..) {
             self.tracker.on_squash_alloc(c, p);
         }
-        let mut dead_ckpts = std::mem::take(&mut self.scratch.dead_ckpts);
-        for id in dead_ckpts.drain(..) {
-            if let Some(ck) = self.ckpts.remove(&id) {
-                self.recycle_snap(ck.fetch);
-            }
-        }
-        self.scratch.dead_ckpts = dead_ckpts;
     }
 
     /// Rolls the tracker back to checkpoint `ckpt` (the committed state
@@ -807,19 +802,12 @@ impl Simulator {
         self.stats.squashed_uops += squashed as u64;
     }
 
-    /// Hands a retired fetch snapshot back to the pool (bounded).
-    fn recycle_snap(&mut self, snap: Box<FetchSnap>) {
-        if self.snap_pool.len() < SNAP_POOL_CAP {
-            self.snap_pool.push(snap);
-        }
-    }
-
     /// Empties the fetch pipe, recycling any snapshots it still carries so
     /// recovery paths return them to the pool instead of freeing them.
     fn clear_pipe(&mut self) {
         while let Some(p) = self.pipe.pop_front() {
             if let Some(snap) = p.pred.and_then(|pr| pr.snap) {
-                self.recycle_snap(snap);
+                recycle_snap(&mut self.snap_pool, snap);
             }
         }
     }
@@ -998,11 +986,13 @@ impl Simulator {
         self.sq.squash_younger(seq);
         self.undo_squashed();
 
-        // 2. Restore rename state from the branch's checkpoint.
-        let ck = b
-            .ckpt
-            .and_then(|id| self.ckpts.remove(&id))
-            .expect("mispredicted branch carries a checkpoint");
+        // 2. Restore rename state from the branch's checkpoint; the younger
+        // ones belonged to squashed branches.
+        let id = b.ckpt.expect("mispredicted branch carries a checkpoint");
+        let pool = &mut self.snap_pool;
+        let ck = self
+            .ckpts
+            .restore_with(id, |dead| recycle_snap(pool, dead.fetch));
         self.rm = ck.rm;
         for c in 0..2 {
             self.fl[c].restore_head(ck.fl_heads[c]);
@@ -1019,7 +1009,7 @@ impl Simulator {
         }
         self.spec_hist = ck.fetch.hist.push(taken, pc);
         self.btb.update(pc, b.actual_next);
-        self.recycle_snap(ck.fetch);
+        recycle_snap(&mut self.snap_pool, ck.fetch);
 
         // 4. Redirect fetch past the branch.
         self.redirect_fetch(seq.next(), squashed);
@@ -1419,17 +1409,12 @@ impl Simulator {
             tage_pred = tp;
             let mispredicted = !uop.wrong_path && pred_next != b.next_sidx;
             let ckpt = snap.map(|snap| {
-                let id = self.next_ckpt;
-                self.next_ckpt += 1;
-                self.ckpts.insert(
-                    id,
-                    Checkpoint {
-                        rm: self.rm.clone(),
-                        fl_heads: [self.fl[0].head(), self.fl[1].head()],
-                        tracker: self.tracker.checkpoint(),
-                        fetch: snap,
-                    },
-                );
+                let id = self.ckpts.push(Checkpoint {
+                    rm: self.rm.clone(),
+                    fl_heads: [self.fl[0].head(), self.fl[1].head()],
+                    tracker: self.tracker.checkpoint(),
+                    fetch: snap,
+                });
                 self.stats.peak_checkpoints = self.stats.peak_checkpoints.max(self.ckpts.len());
                 id
             });

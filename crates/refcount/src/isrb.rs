@@ -29,11 +29,10 @@
 //!    from leaking registers.
 
 use crate::tracker::{
-    CheckpointId, ReclaimDecision, ReclaimRequest, ShareRequest, SharingTracker, StorageReport,
-    TrackerStats,
+    CheckpointId, CheckpointStack, ReclaimDecision, ReclaimRequest, ShareRequest, SharingTracker,
+    StorageReport, TrackerStats,
 };
 use regshare_types::{PhysReg, RegClass};
-use std::collections::VecDeque;
 
 /// ISRB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,17 +92,6 @@ struct Entry {
     referenced_committed: u32,
 }
 
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    id: CheckpointId,
-    referenced: Vec<u32>,
-}
-
-/// Retired checkpoint buffers kept for reuse: one checkpoint is taken per
-/// predicted branch, so recycling the `referenced` vectors keeps the
-/// branch-rename path allocation-free in steady state.
-const CKPT_POOL_CAP: usize = 64;
-
 /// The Inflight Shared Register Buffer. See the module docs for semantics
 /// and [`IsrbConfig`] for sizing.
 #[derive(Debug)]
@@ -116,10 +104,8 @@ pub struct Isrb {
     /// CAM's single-cycle match in O(1) instead of scanning `entries`; the
     /// scan sat on the reclaim path of every committed destination µ-op.
     index: [Vec<u32>; 2],
-    checkpoints: VecDeque<Checkpoint>,
-    /// Recycled checkpoint buffers (see [`CKPT_POOL_CAP`]).
-    ckpt_pool: Vec<Vec<u32>>,
-    next_ckpt: CheckpointId,
+    /// Per-branch images of the `referenced` fields, one per slot.
+    checkpoints: CheckpointStack<Vec<u32>>,
     max_counter: u32,
     stats: TrackerStats,
 }
@@ -137,9 +123,7 @@ impl Isrb {
             entries: vec![Entry::default(); n],
             free_slots: (0..n).rev().collect(),
             index: [vec![0; cfg.pregs_per_class], vec![0; cfg.pregs_per_class]],
-            checkpoints: VecDeque::new(),
-            ckpt_pool: Vec::new(),
-            next_ckpt: 0,
+            checkpoints: CheckpointStack::default(),
             max_counter: (1u32 << cfg.counter_bits) - 1,
             cfg,
             stats: TrackerStats::default(),
@@ -176,9 +160,7 @@ impl Isrb {
             self.entries.push(Entry::default());
             // Grow existing checkpoints to cover the new slot (conceptually
             // the unlimited ISRB always had this slot with referenced = 0).
-            for c in &mut self.checkpoints {
-                c.referenced.push(0);
-            }
+            self.checkpoints.iter_mut().for_each(|c| c.push(0));
             Some(self.entries.len() - 1)
         } else {
             None
@@ -194,11 +176,8 @@ impl Isrb {
         self.entries[slot] = Entry::default();
         self.free_slots.push(slot);
         self.stats.entries_freed += 1;
-        for c in &mut self.checkpoints {
-            if slot < c.referenced.len() {
-                c.referenced[slot] = 0;
-            }
-        }
+        let images = self.checkpoints.iter_mut();
+        images.filter_map(|c| c.get_mut(slot)).for_each(|r| *r = 0);
     }
 
     fn occupancy(&self) -> usize {
@@ -207,47 +186,32 @@ impl Isrb {
         self.entries.len() - self.free_slots.len()
     }
 
-    fn entry_preg(e: &Entry) -> (RegClass, PhysReg) {
-        (
-            if e.class_fp {
-                RegClass::Fp
-            } else {
-                RegClass::Int
-            },
-            PhysReg::new(e.preg as usize),
-        )
-    }
-
-    /// Returns a retired checkpoint buffer to the pool.
-    fn recycle(&mut self, referenced: Vec<u32>) {
-        if self.ckpt_pool.len() < CKPT_POOL_CAP {
-            self.ckpt_pool.push(referenced);
-        }
-    }
-
-    /// Applies the paper's per-entry restore rule given a checkpointed
-    /// `referenced` value; returns the freed register if the entry died.
-    fn restore_entry(&mut self, slot: usize, ref_ck: u32) -> Option<(RegClass, PhysReg)> {
-        let e = &mut self.entries[slot];
-        if !e.valid {
-            // "If the ISRB entry is already free, nothing happens."
-            return None;
-        }
-        let committed = e.committed;
-        e.referenced = ref_ck;
-        if committed > ref_ck {
-            // The last overwrite should have freed the register.
-            let freed = Self::entry_preg(e);
-            self.free_entry(slot);
-            Some(freed)
-        } else if committed == 0 && ref_ck == 0 {
-            // Entry allocated later than the restore point: the register is
-            // covered by the Free List pointer restore (or by an older
-            // committing instruction); only the entry is freed.
-            self.free_entry(slot);
-            None
-        } else {
-            None
+    /// Applies the paper's per-entry restore rule to every entry, given its
+    /// restored `referenced` value; pushes the registers it frees.
+    fn restore_entries(
+        &mut self,
+        freed: &mut Vec<(RegClass, PhysReg)>,
+        restored: impl Fn(usize, &Entry) -> u32,
+    ) {
+        for slot in 0..self.entries.len() {
+            let e = &mut self.entries[slot];
+            if !e.valid {
+                // "If the ISRB entry is already free, nothing happens."
+                continue;
+            }
+            let ref_ck = restored(slot, e);
+            e.referenced = ref_ck;
+            if e.committed > ref_ck {
+                // The last overwrite should have freed the register.
+                let class = RegClass::ALL[usize::from(e.class_fp)];
+                freed.push((class, PhysReg::new(e.preg as usize)));
+                self.free_entry(slot);
+            } else if e.committed == 0 && ref_ck == 0 {
+                // Entry allocated later than the restore point: the register
+                // is covered by the Free List pointer restore (or by an older
+                // committing instruction); only the entry is freed.
+                self.free_entry(slot);
+            }
         }
     }
 }
@@ -324,71 +288,31 @@ impl SharingTracker for Isrb {
     }
 
     fn checkpoint(&mut self) -> CheckpointId {
-        let id = self.next_ckpt;
-        self.next_ckpt += 1;
-        let mut referenced = self.ckpt_pool.pop().unwrap_or_default();
-        referenced.clear();
-        referenced.extend(
-            self.entries
-                .iter()
-                .map(|e| if e.valid { e.referenced } else { 0 }),
-        );
-        self.checkpoints.push_back(Checkpoint { id, referenced });
         self.stats.checkpoints_taken += 1;
-        id
+        let referenced = self
+            .entries
+            .iter()
+            .map(|e| if e.valid { e.referenced } else { 0 });
+        self.checkpoints.push_from(referenced)
     }
 
     fn restore(&mut self, id: CheckpointId, freed: &mut Vec<(RegClass, PhysReg)>) {
         self.stats.restores += 1;
-        // Drop checkpoints younger than `id`, then take `id` itself.
-        while let Some(back) = self.checkpoints.back() {
-            if back.id > id {
-                let dead = self.checkpoints.pop_back().expect("just peeked");
-                self.recycle(dead.referenced);
-            } else {
-                break;
-            }
-        }
-        let ck = match self.checkpoints.pop_back() {
-            Some(ck) if ck.id == id => ck,
-            other => panic!(
-                "restore to unknown checkpoint {id} (found {:?})",
-                other.map(|c| c.id)
-            ),
-        };
-        for slot in 0..self.entries.len() {
-            let ref_ck = ck.referenced.get(slot).copied().unwrap_or(0);
-            if let Some(p) = self.restore_entry(slot, ref_ck) {
-                freed.push(p);
-            }
-        }
-        self.recycle(ck.referenced);
+        let referenced = self.checkpoints.restore(id);
+        self.restore_entries(freed, |slot, _| referenced.get(slot).copied().unwrap_or(0));
+        self.checkpoints.recycle(referenced);
     }
 
     fn release_checkpoint(&mut self, id: CheckpointId) {
-        if let Some(pos) = crate::tracker::ckpt_pos(&self.checkpoints, id, |c| c.id) {
-            debug_assert_eq!(pos, 0, "checkpoints must be released oldest-first");
-            if let Some(ck) = self.checkpoints.remove(pos) {
-                self.recycle(ck.referenced);
-            }
+        if let Some(referenced) = self.checkpoints.release(id) {
+            self.checkpoints.recycle(referenced);
         }
     }
 
     fn restore_to_committed(&mut self, freed: &mut Vec<(RegClass, PhysReg)>) {
         self.stats.restores += 1;
-        while let Some(ck) = self.checkpoints.pop_back() {
-            self.recycle(ck.referenced);
-        }
-        for slot in 0..self.entries.len() {
-            let ref_arch = if self.entries[slot].valid {
-                self.entries[slot].referenced_committed
-            } else {
-                continue;
-            };
-            if let Some(p) = self.restore_entry(slot, ref_arch) {
-                freed.push(p);
-            }
-        }
+        self.checkpoints.clear();
+        self.restore_entries(freed, |_, e| e.referenced_committed);
     }
 
     fn storage(&self) -> StorageReport {

@@ -56,7 +56,7 @@ pub use isrb::{Isrb, IsrbConfig};
 pub use mit::Mit;
 pub use rda::Rda;
 pub use tracker::{
-    CheckpointId, ReclaimDecision, ReclaimRequest, ShareKind, ShareRequest, SharingTracker,
-    StorageReport, TrackerStats,
+    CheckpointId, CheckpointStack, ReclaimDecision, ReclaimRequest, ShareKind, ShareRequest,
+    SharingTracker, StorageReport, TrackerStats,
 };
 pub use unlimited::UnlimitedTracker;

@@ -9,11 +9,10 @@
 //! [`TrackerStats::commit_checkpoint_writes`] quantifies that burden.
 
 use crate::tracker::{
-    CheckpointId, ReclaimDecision, ReclaimRequest, ShareRequest, SharingTracker, StorageReport,
-    TrackerStats,
+    CheckpointId, CheckpointStack, ReclaimDecision, ReclaimRequest, ShareRequest, SharingTracker,
+    StorageReport, TrackerStats,
 };
 use regshare_types::{PhysReg, RegClass};
-use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Entry {
@@ -25,16 +24,6 @@ struct Entry {
     /// Architectural image of `count` (for commit-time flushes).
     arch_count: u32,
 }
-
-#[derive(Debug, Clone)]
-struct Checkpoint {
-    id: CheckpointId,
-    counts: Vec<u32>,
-}
-
-/// Retired checkpoint buffers kept for reuse (one checkpoint per predicted
-/// branch — recycling keeps the rename path allocation-free).
-const CKPT_POOL_CAP: usize = 64;
 
 /// The RDA tracker. See the module docs.
 ///
@@ -59,10 +48,8 @@ pub struct Rda {
     /// Free entry slots (index stack) — allocation pops in O(1) instead of
     /// scanning `entries` for an invalid slot.
     free_slots: Vec<usize>,
-    checkpoints: VecDeque<Checkpoint>,
-    /// Recycled checkpoint buffers (see [`CKPT_POOL_CAP`]).
-    ckpt_pool: Vec<Vec<u32>>,
-    next_ckpt: CheckpointId,
+    /// Per-branch images of the `count` fields, one per slot.
+    checkpoints: CheckpointStack<Vec<u32>>,
     max_count: u32,
     counter_bits: u32,
     stats: TrackerStats,
@@ -80,9 +67,7 @@ impl Rda {
         Rda {
             entries: vec![Entry::default(); entries],
             free_slots: (0..entries).rev().collect(),
-            checkpoints: VecDeque::new(),
-            ckpt_pool: Vec::new(),
-            next_ckpt: 0,
+            checkpoints: CheckpointStack::default(),
             max_count: (1 << counter_bits) - 1,
             counter_bits,
             stats: TrackerStats::default(),
@@ -101,19 +86,25 @@ impl Rda {
         self.entries[slot] = Entry::default();
         self.free_slots.push(slot);
         self.stats.entries_freed += 1;
-        for c in &mut self.checkpoints {
-            c.counts[slot] = 0;
-        }
+        self.checkpoints.iter_mut().for_each(|c| c[slot] = 0);
     }
 
     fn occupancy(&self) -> usize {
         self.entries.len() - self.free_slots.len()
     }
 
-    /// Returns a retired checkpoint buffer to the pool.
-    fn recycle(&mut self, counts: Vec<u32>) {
-        if self.ckpt_pool.len() < CKPT_POOL_CAP {
-            self.ckpt_pool.push(counts);
+    /// Resets every valid entry's count to `restored(slot, entry)`, retiring
+    /// the entries that no longer have a duplicate.
+    fn restore_counts(&mut self, restored: impl Fn(usize, &Entry) -> u32) {
+        for slot in 0..self.entries.len() {
+            let e = self.entries[slot];
+            if !e.valid {
+                continue;
+            }
+            match restored(slot, &e) {
+                c if c <= 1 => self.free_entry(slot),
+                c => self.entries[slot].count = c,
+            }
         }
     }
 }
@@ -172,9 +163,8 @@ impl SharingTracker for Rda {
                 // The RDA's checkpointability requirement: decrement the live
                 // counter AND the matching counter in every checkpoint.
                 let n = self.checkpoints.len() as u64;
-                for c in &mut self.checkpoints {
-                    c.counts[slot] = c.counts[slot].saturating_sub(1);
-                }
+                let images = self.checkpoints.iter_mut();
+                images.for_each(|c| c[slot] = c[slot].saturating_sub(1));
                 self.stats.commit_checkpoint_writes += n;
                 let e = &mut self.entries[slot];
                 e.count = e.count.saturating_sub(1);
@@ -190,71 +180,31 @@ impl SharingTracker for Rda {
     }
 
     fn checkpoint(&mut self) -> CheckpointId {
-        let id = self.next_ckpt;
-        self.next_ckpt += 1;
-        let mut counts = self.ckpt_pool.pop().unwrap_or_default();
-        counts.clear();
-        counts.extend(
-            self.entries
-                .iter()
-                .map(|e| if e.valid { e.count } else { 0 }),
-        );
-        self.checkpoints.push_back(Checkpoint { id, counts });
         self.stats.checkpoints_taken += 1;
-        id
+        let counts = self
+            .entries
+            .iter()
+            .map(|e| if e.valid { e.count } else { 0 });
+        self.checkpoints.push_from(counts)
     }
 
     fn restore(&mut self, id: CheckpointId, _freed: &mut Vec<(RegClass, PhysReg)>) {
         self.stats.restores += 1;
-        while let Some(back) = self.checkpoints.back() {
-            if back.id > id {
-                let dead = self.checkpoints.pop_back().expect("just peeked");
-                self.recycle(dead.counts);
-            } else {
-                break;
-            }
-        }
-        let ck = self.checkpoints.pop_back().expect("checkpoint exists");
-        assert_eq!(ck.id, id, "restore to unknown checkpoint");
-        for slot in 0..self.entries.len() {
-            if !self.entries[slot].valid {
-                continue;
-            }
-            let c = ck.counts[slot];
-            if c <= 1 {
-                self.free_entry(slot);
-            } else {
-                self.entries[slot].count = c;
-            }
-        }
-        self.recycle(ck.counts);
+        let counts = self.checkpoints.restore(id);
+        self.restore_counts(|slot, _| counts[slot]);
+        self.checkpoints.recycle(counts);
     }
 
     fn release_checkpoint(&mut self, id: CheckpointId) {
-        if let Some(pos) = crate::tracker::ckpt_pos(&self.checkpoints, id, |c| c.id) {
-            debug_assert_eq!(pos, 0, "checkpoints must be released oldest-first");
-            if let Some(ck) = self.checkpoints.remove(pos) {
-                self.recycle(ck.counts);
-            }
+        if let Some(counts) = self.checkpoints.release(id) {
+            self.checkpoints.recycle(counts);
         }
     }
 
     fn restore_to_committed(&mut self, _freed: &mut Vec<(RegClass, PhysReg)>) {
         self.stats.restores += 1;
-        while let Some(ck) = self.checkpoints.pop_back() {
-            self.recycle(ck.counts);
-        }
-        for slot in 0..self.entries.len() {
-            if !self.entries[slot].valid {
-                continue;
-            }
-            let c = self.entries[slot].arch_count;
-            if c <= 1 {
-                self.free_entry(slot);
-            } else {
-                self.entries[slot].count = c;
-            }
-        }
+        self.checkpoints.clear();
+        self.restore_counts(|_, e| e.arch_count);
     }
 
     fn storage(&self) -> StorageReport {

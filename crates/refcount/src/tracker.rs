@@ -38,6 +38,7 @@
 //!   proportional to squashed µ-ops for walk-based ones).
 
 use regshare_types::{ArchReg, PhysReg, RegClass};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Monotonically increasing checkpoint identifier.
@@ -51,7 +52,7 @@ pub type CheckpointId = u64;
 /// are sorted ascending regardless, so a binary-search backstop keeps the
 /// lookup correct even if a caller ever breaks the contiguity pattern.
 pub(crate) fn ckpt_pos<T>(
-    deque: &std::collections::VecDeque<T>,
+    deque: &VecDeque<T>,
     id: CheckpointId,
     id_of: impl FnMut(&T) -> CheckpointId,
 ) -> Option<usize> {
@@ -62,6 +63,132 @@ pub(crate) fn ckpt_pos<T>(
         Some(c) if id_of(c) == id => Some(pos),
         _ => deque.binary_search_by_key(&id, id_of).ok(),
     }
+}
+
+/// Dead images a [`CheckpointStack`] keeps for reuse, so that taking one
+/// checkpoint per predicted branch does not allocate in steady state.
+const SPARE_CAP: usize = 64;
+
+/// Branch-scoped recovery images in id order: the one checkpoint discipline
+/// of the core's rename checkpoints and of the ISRB and RDA trackers.
+///
+/// [`push`](Self::push) takes the next monotonic id at a predicted branch.
+/// The branch then commits ([`release`](Self::release), oldest first),
+/// mispredicts ([`restore`](Self::restore): every younger image dies and its
+/// own comes back), or is squashed by a commit-time flush
+/// ([`clear`](Self::clear)). Dead images are kept, up to a bound, and
+/// refilled by [`push_from`](Self::push_from).
+#[derive(Debug)]
+pub struct CheckpointStack<T> {
+    live: VecDeque<(CheckpointId, T)>,
+    next_id: CheckpointId,
+    spare: Vec<T>,
+}
+
+impl<T> Default for CheckpointStack<T> {
+    fn default() -> Self {
+        CheckpointStack {
+            live: VecDeque::new(),
+            next_id: 0,
+            spare: Vec::new(),
+        }
+    }
+}
+
+impl<T> CheckpointStack<T> {
+    /// Live checkpoints.
+    pub fn len(&self) -> usize {
+        self.live.len()
+    }
+
+    /// Whether no checkpoint is live.
+    pub fn is_empty(&self) -> bool {
+        self.live.is_empty()
+    }
+
+    /// Pushes `image` as the youngest checkpoint and returns its id.
+    pub fn push(&mut self, image: T) -> CheckpointId {
+        self.live.push_back((self.next_id, image));
+        self.next_id += 1;
+        self.next_id - 1
+    }
+
+    /// Keeps a dead image for reuse (dropped beyond the bound).
+    pub fn recycle(&mut self, image: T) {
+        keep(&mut self.spare, image);
+    }
+
+    /// Removes and returns the image of `id`, whose branch committed. An
+    /// unknown id (already restored or squashed) is a no-op.
+    pub fn release(&mut self, id: CheckpointId) -> Option<T> {
+        let pos = ckpt_pos(&self.live, id, |c| c.0)?;
+        debug_assert_eq!(pos, 0, "checkpoints must be released oldest-first");
+        self.live.remove(pos).map(|(_, image)| image)
+    }
+
+    /// Returns the image of `id`, whose branch mispredicted, and keeps every
+    /// younger image for reuse.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not live.
+    pub fn restore(&mut self, id: CheckpointId) -> T {
+        let spare = &mut self.spare;
+        cut_to(&mut self.live, id, |image| keep(spare, image))
+    }
+
+    /// [`restore`](Self::restore), handing each younger image to `dead`.
+    pub fn restore_with(&mut self, id: CheckpointId, dead: impl FnMut(T)) -> T {
+        cut_to(&mut self.live, id, dead)
+    }
+
+    /// Drops every image (a commit-time flush), keeping them for reuse.
+    pub fn clear(&mut self) {
+        let spare = &mut self.spare;
+        self.live
+            .drain(..)
+            .rev()
+            .for_each(|(_, image)| keep(spare, image));
+    }
+
+    /// [`clear`](Self::clear), handing each image to `dead`.
+    pub fn drain(&mut self, mut dead: impl FnMut(T)) {
+        self.live.drain(..).rev().for_each(|(_, image)| dead(image));
+    }
+
+    /// Every live image, oldest first.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        self.live.iter_mut().map(|(_, image)| image)
+    }
+}
+
+impl<V> CheckpointStack<Vec<V>> {
+    /// Pushes an image of `values`, refilling a dead buffer when one is kept.
+    pub fn push_from(&mut self, values: impl Iterator<Item = V>) -> CheckpointId {
+        let mut image = self.spare.pop().unwrap_or_default();
+        image.clear();
+        image.extend(values);
+        self.push(image)
+    }
+}
+
+fn keep<T>(spare: &mut Vec<T>, image: T) {
+    if spare.len() < SPARE_CAP {
+        spare.push(image);
+    }
+}
+
+/// Hands every image younger than `id` to `dead`, youngest first, and pops
+/// `id`'s own.
+fn cut_to<T>(live: &mut VecDeque<(CheckpointId, T)>, id: CheckpointId, dead: impl FnMut(T)) -> T {
+    let Some(pos) = ckpt_pos(live, id, |c| c.0) else {
+        panic!("restore to unknown checkpoint {id}");
+    };
+    live.drain(pos + 1..)
+        .rev()
+        .map(|(_, image)| image)
+        .for_each(dead);
+    live.pop_back().expect("found above").1
 }
 
 /// Outcome of a reclaim request.
