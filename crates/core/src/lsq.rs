@@ -54,17 +54,42 @@ pub struct LqEntry {
     pub bypassed_ok: bool,
 }
 
-/// The store queue.
+/// An LSQ entry: the queue frees entries by program order on a squash.
+pub trait QueueEntry: Copy {
+    /// Program-order sequence number.
+    fn seq(&self) -> SeqNum;
+}
+
+impl QueueEntry for SqEntry {
+    fn seq(&self) -> SeqNum {
+        self.seq
+    }
+}
+
+impl QueueEntry for LqEntry {
+    fn seq(&self) -> SeqNum {
+        self.seq
+    }
+}
+
+/// A fixed-capacity queue whose entries live in stable slots: allocation
+/// takes the lowest free slot, and the slot index is the entry's handle.
 #[derive(Debug)]
-pub struct StoreQueue {
-    entries: Vec<Option<SqEntry>>,
+pub struct SlotQueue<E> {
+    entries: Vec<Option<E>>,
     count: usize,
 }
 
-impl StoreQueue {
+/// The store queue.
+pub type StoreQueue = SlotQueue<SqEntry>;
+
+/// The load queue.
+pub type LoadQueue = SlotQueue<LqEntry>;
+
+impl<E: QueueEntry> SlotQueue<E> {
     /// Creates a queue with `capacity` entries.
-    pub fn new(capacity: usize) -> StoreQueue {
-        StoreQueue {
+    pub fn new(capacity: usize) -> Self {
+        SlotQueue {
             entries: vec![None; capacity],
             count: 0,
         }
@@ -90,18 +115,18 @@ impl StoreQueue {
     /// # Panics
     ///
     /// Panics if the queue is full.
-    pub fn alloc(&mut self, e: SqEntry) -> usize {
+    pub fn alloc(&mut self, e: E) -> usize {
         let idx = self
             .entries
             .iter()
             .position(|s| s.is_none())
-            .expect("store queue full");
+            .expect("LSQ full");
         self.entries[idx] = Some(e);
         self.count += 1;
         idx
     }
 
-    /// Frees entry `idx` (store committed or squashed).
+    /// Frees entry `idx` (committed or squashed).
     pub fn free(&mut self, idx: usize) {
         if self.entries[idx].take().is_some() {
             self.count -= 1;
@@ -109,19 +134,19 @@ impl StoreQueue {
     }
 
     /// Mutable access to entry `idx`.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut SqEntry> {
+    pub fn get_mut(&mut self, idx: usize) -> Option<&mut E> {
         self.entries[idx].as_mut()
     }
 
     /// Shared access to entry `idx`.
-    pub fn get(&self, idx: usize) -> Option<&SqEntry> {
+    pub fn get(&self, idx: usize) -> Option<&E> {
         self.entries[idx].as_ref()
     }
 
     /// Frees all entries with `seq > after` (squash).
     pub fn squash_younger(&mut self, after: SeqNum) {
         for e in &mut self.entries {
-            if matches!(e, Some(s) if s.seq > after) {
+            if matches!(e, Some(s) if s.seq() > after) {
                 *e = None;
                 self.count -= 1;
             }
@@ -133,7 +158,9 @@ impl StoreQueue {
         self.entries.iter_mut().for_each(|e| *e = None);
         self.count = 0;
     }
+}
 
+impl StoreQueue {
     /// Whether the store `seq` is still in flight and unexecuted (its
     /// address is unknown): the condition Store Sets ordering waits on.
     pub fn is_unexecuted(&self, seq: SeqNum) -> bool {
@@ -175,81 +202,7 @@ impl StoreQueue {
     }
 }
 
-/// The load queue.
-#[derive(Debug)]
-pub struct LoadQueue {
-    entries: Vec<Option<LqEntry>>,
-    count: usize,
-}
-
 impl LoadQueue {
-    /// Creates a queue with `capacity` entries.
-    pub fn new(capacity: usize) -> LoadQueue {
-        LoadQueue {
-            entries: vec![None; capacity],
-            count: 0,
-        }
-    }
-
-    /// Whether an entry can be allocated.
-    pub fn has_space(&self) -> bool {
-        self.count < self.entries.len()
-    }
-
-    /// Current occupancy.
-    pub fn len(&self) -> usize {
-        self.count
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Allocates an entry, returning its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the queue is full.
-    pub fn alloc(&mut self, e: LqEntry) -> usize {
-        let idx = self
-            .entries
-            .iter()
-            .position(|s| s.is_none())
-            .expect("load queue full");
-        self.entries[idx] = Some(e);
-        self.count += 1;
-        idx
-    }
-
-    /// Frees entry `idx`.
-    pub fn free(&mut self, idx: usize) {
-        if self.entries[idx].take().is_some() {
-            self.count -= 1;
-        }
-    }
-
-    /// Mutable access to entry `idx`.
-    pub fn get_mut(&mut self, idx: usize) -> Option<&mut LqEntry> {
-        self.entries[idx].as_mut()
-    }
-
-    /// Frees all entries with `seq > after` (squash).
-    pub fn squash_younger(&mut self, after: SeqNum) {
-        for e in &mut self.entries {
-            if matches!(e, Some(l) if l.seq > after) {
-                *e = None;
-                self.count -= 1;
-            }
-        }
-    }
-
-    /// Frees every entry (commit-time flush).
-    pub fn clear(&mut self) {
-        self.entries.iter_mut().for_each(|e| *e = None);
-        self.count = 0;
-    }
-
     /// Memory-order violation check at a store's address computation:
     /// returns the *oldest* younger load that already read, overlaps the
     /// store, and did not get its value from this store or anything younger.
