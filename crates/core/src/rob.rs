@@ -83,6 +83,8 @@ pub struct BranchInfo {
     pub pred_next: u32,
     /// Architectural next static index.
     pub actual_next: u32,
+    /// Static index after the branch (wraps to 0): a call's return address.
+    pub fallthrough: u32,
     /// Architectural direction (conditional branches).
     pub taken: bool,
     /// Predicted direction.

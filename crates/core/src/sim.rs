@@ -555,7 +555,7 @@ impl Simulator {
             self.tage.advance_snapshot(&mut self.arch_tage, taken, pc);
             self.arch_hist = self.arch_hist.push(taken, pc);
             match b.kind {
-                BranchKind::Call => self.arch_ras.push(b.actual_next),
+                BranchKind::Call => self.arch_ras.push(b.fallthrough),
                 BranchKind::Return => {
                     let _ = self.arch_ras.pop();
                 }
@@ -1422,6 +1422,7 @@ impl Simulator {
                 kind: b.kind,
                 pred_next,
                 actual_next: b.next_sidx,
+                fallthrough: b.fallthrough_sidx,
                 taken: b.taken,
                 pred_taken,
                 mispredicted,
@@ -1762,5 +1763,31 @@ impl Simulator {
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use regshare_isa::program::ProgramBuilder;
+
+    /// Between a call's commit and its return's, the architectural RAS holds
+    /// the call's return address (its fall-through), as the speculative RAS
+    /// does after fetch, so a commit-time flush inside the callee restores a
+    /// return prediction that is right.
+    #[test]
+    fn committed_call_pushes_its_return_address() {
+        let mut b = ProgramBuilder::new();
+        let call = b.push(Op::Call { target: 0 });
+        let return_to = b.push(Op::Halt);
+        let callee = b.here();
+        for _ in 0..32 {
+            b.push(Op::Nop);
+        }
+        b.push(Op::Ret);
+        b.patch_target(call, callee);
+        let mut sim = Simulator::new(&b.build(), CoreConfig::hpca16());
+        sim.run(1);
+        assert_eq!(sim.arch_ras.snapshot().pop(), Some(return_to));
     }
 }
