@@ -168,9 +168,16 @@ pub struct PhysReg(u16);
 
 impl PhysReg {
     /// Creates a physical register with the given index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit a 16-bit register index.
     #[inline]
     pub fn new(index: usize) -> PhysReg {
-        PhysReg(index as u16)
+        match u16::try_from(index) {
+            Ok(i) => PhysReg(i),
+            Err(_) => panic!("physical register index {index} exceeds {}", u16::MAX),
+        }
     }
 
     /// The register file index.
@@ -290,6 +297,13 @@ mod tests {
     #[should_panic]
     fn arch_reg_int_out_of_range_panics() {
         let _ = ArchReg::int(16);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 65535")]
+    fn phys_reg_out_of_range_panics() {
+        assert_eq!(PhysReg::new(65_535).index(), 65_535);
+        let _ = PhysReg::new(65_536);
     }
 
     #[test]
