@@ -6,11 +6,12 @@
 //! Accepts the standard scenario front-door flags (`--preset`,
 //! `--scenario`, `--warmup`, `--measure`, `--jobs`); defaults to the
 //! `smoke` preset at a 2 000 + 8 000 µ-op window unless a flag or the
-//! scenario file sets one. A window longer than the stream cache's
-//! `RECORD_CAP` is refused (exit 2): warm streams would run live past the
-//! recorded prefix, so the gate could only fail. `--cache-dir` is refused
-//! too: cells served from disk would skip the front end this gate
-//! measures.
+//! scenario file sets one. A window that, with the furthest any variant's
+//! fetch runs ahead of commit (`CoreConfig::fetch_run_ahead`), reaches past
+//! the stream cache's `RECORD_CAP` is refused (exit 2): warm streams would
+//! run live past the recorded prefix, so the gate could only fail.
+//! `--cache-dir` is refused too: cells served from disk would skip the
+//! front end this gate measures.
 //!
 //! Stdout is deterministic (run it twice and diff). The cold pass's decode
 //! count goes to stderr: it depends on which worker records a shared
@@ -33,10 +34,22 @@ fn main() {
     }
     let warmup = *scenario.options.warmup.get_or_insert(WARMUP);
     let measure = *scenario.options.measure.get_or_insert(MEASURE);
-    if warmup.saturating_add(measure) > RECORD_CAP as u64 {
+    let run_ahead = match scenario.resolve() {
+        Ok((_, configs)) => configs
+            .iter()
+            .map(|c| c.fetch_run_ahead())
+            .max()
+            .unwrap_or(0),
+        Err(e) => {
+            eprintln!("cache_smoke: {e}");
+            std::process::exit(1);
+        }
+    };
+    if warmup.saturating_add(measure).saturating_add(run_ahead) > RECORD_CAP as u64 {
         eprintln!(
-            "cache_smoke: a {warmup} + {measure} µ-op window exceeds the stream cache's \
-             RECORD_CAP of {RECORD_CAP} µ-ops; warm runs would decode past it"
+            "cache_smoke: a {warmup} + {measure} µ-op window, plus fetch running up to \
+             {run_ahead} µ-ops ahead of commit, exceeds the stream cache's RECORD_CAP of \
+             {RECORD_CAP} µ-ops; warm runs would decode past it"
         );
         std::process::exit(2);
     }

@@ -353,6 +353,18 @@ impl CoreConfig {
         self
     }
 
+    /// µ-ops the fetch pipe holds between fetch and rename.
+    pub fn fetch_pipe_capacity(&self) -> usize {
+        self.frontend_width * (self.frontend_depth as usize + 4)
+    }
+
+    /// How far fetch can run ahead of commit on the correct path, in µ-ops:
+    /// a full ROB, a full fetch pipe and the one µ-op held back by an
+    /// instruction-cache miss.
+    pub fn fetch_run_ahead(&self) -> u64 {
+        (self.rob_entries + self.fetch_pipe_capacity() + 1) as u64
+    }
+
     /// Checks the configuration for structural impossibilities — zero
     /// widths, empty windows, structures above [`MAX_STRUCTURE_ENTRIES`],
     /// an ISRB larger than the PRF, zero-width

@@ -1546,7 +1546,7 @@ impl Simulator {
         if self.now < self.fetch_stall_until {
             return;
         }
-        let pipe_cap = self.cfg.frontend_width * (self.cfg.frontend_depth as usize + 4);
+        let pipe_cap = self.cfg.fetch_pipe_capacity();
         let mut taken_branches = 0usize;
         for _ in 0..self.cfg.frontend_width {
             if self.pipe.len() >= pipe_cap {
