@@ -34,17 +34,12 @@ fn main() {
     }
     let warmup = *scenario.options.warmup.get_or_insert(WARMUP);
     let measure = *scenario.options.measure.get_or_insert(MEASURE);
-    let run_ahead = match scenario.resolve() {
-        Ok((_, configs)) => configs
-            .iter()
-            .map(|c| c.fetch_run_ahead())
-            .max()
-            .unwrap_or(0),
-        Err(e) => {
-            eprintln!("cache_smoke: {e}");
-            std::process::exit(1);
-        }
-    };
+    // A variant that does not resolve fails the run below.
+    let configs = scenario
+        .variants
+        .iter()
+        .filter_map(|(_, v)| v.to_config().ok());
+    let run_ahead = configs.map(|c| c.fetch_run_ahead()).max().unwrap_or(0);
     if warmup.saturating_add(measure).saturating_add(run_ahead) > RECORD_CAP as u64 {
         eprintln!(
             "cache_smoke: a {warmup} + {measure} µ-op window, plus fetch running up to \

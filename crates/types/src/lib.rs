@@ -174,10 +174,11 @@ impl PhysReg {
     /// Panics if `index` does not fit a 16-bit register index.
     #[inline]
     pub fn new(index: usize) -> PhysReg {
-        match u16::try_from(index) {
-            Ok(i) => PhysReg(i),
-            Err(_) => panic!("physical register index {index} exceeds {}", u16::MAX),
-        }
+        assert!(
+            index <= usize::from(u16::MAX),
+            "physical register index {index} exceeds 65535"
+        );
+        PhysReg(index as u16)
     }
 
     /// The register file index.
