@@ -129,7 +129,7 @@ const SNAP_POOL_CAP: usize = 256;
 
 /// Hands a retired fetch snapshot back to the pool (bounded).
 #[allow(clippy::vec_box)]
-fn recycle_snap(pool: &mut Vec<Box<FetchSnap>>, snap: Box<FetchSnap>) {
+fn pool_snap(pool: &mut Vec<Box<FetchSnap>>, snap: Box<FetchSnap>) {
     if pool.len() < SNAP_POOL_CAP {
         pool.push(snap);
     }
@@ -563,7 +563,7 @@ impl Simulator {
             }
             if let Some(ck) = b.ckpt.and_then(|id| self.ckpts.release(id)) {
                 self.tracker.release_checkpoint(ck.tracker);
-                recycle_snap(&mut self.snap_pool, ck.fetch);
+                pool_snap(&mut self.snap_pool, ck.fetch);
             }
             // TAGE direction training for conditionals.
             let tage_pred = conditional.then(|| self.rob.take_tage_pred(seq));
@@ -746,7 +746,7 @@ impl Simulator {
         self.undo_squashed();
         // Every live checkpoint belonged to a squashed branch.
         let pool = &mut self.snap_pool;
-        self.ckpts.drain(|ck| recycle_snap(pool, ck.fetch));
+        self.ckpts.drain(|ck| pool_snap(pool, ck.fetch));
         self.restore_tracker(None);
 
         // Restore front-end state from the architectural images.
@@ -807,7 +807,7 @@ impl Simulator {
     fn clear_pipe(&mut self) {
         while let Some(p) = self.pipe.pop_front() {
             if let Some(snap) = p.pred.and_then(|pr| pr.snap) {
-                recycle_snap(&mut self.snap_pool, snap);
+                pool_snap(&mut self.snap_pool, snap);
             }
         }
     }
@@ -992,7 +992,7 @@ impl Simulator {
         let pool = &mut self.snap_pool;
         let ck = self
             .ckpts
-            .restore_with(id, |dead| recycle_snap(pool, dead.fetch));
+            .restore_with(id, |dead| pool_snap(pool, dead.fetch));
         self.rm = ck.rm;
         for c in 0..2 {
             self.fl[c].restore_head(ck.fl_heads[c]);
@@ -1009,7 +1009,7 @@ impl Simulator {
         }
         self.spec_hist = ck.fetch.hist.push(taken, pc);
         self.btb.update(pc, b.actual_next);
-        recycle_snap(&mut self.snap_pool, ck.fetch);
+        pool_snap(&mut self.snap_pool, ck.fetch);
 
         // 4. Redirect fetch past the branch.
         self.redirect_fetch(seq.next(), squashed);
