@@ -93,8 +93,8 @@ struct Checkpoint {
 
 /// Reusable buffers for the per-cycle and per-recovery work lists. Each is
 /// filled and drained in place, or `mem::take`n out while a `&mut self`
-/// method runs over it and put back drained — so `step()` never allocates
-/// in steady state.
+/// method runs over it and put back drained — so once grown they stop
+/// allocating.
 #[derive(Debug, Default)]
 struct Scratch {
     /// Squashed µ-ops' accepted shares (squash-walk pass 1).
@@ -829,8 +829,9 @@ impl Simulator {
             return;
         }
         // Swap the slot's buffer with the (empty) scratch list and swap it
-        // back drained: both allocations survive the cycle, so the wheel
-        // reaches a steady state where scheduling never allocates.
+        // back drained: both allocations survive the cycle. Buffers rotate
+        // between slots this way, so a slot handed a smaller buffer than its
+        // next burst still grows it.
         let mut events = std::mem::take(&mut self.scratch.events);
         std::mem::swap(&mut events, &mut self.wheel[slot]);
         for ev in events.drain(..) {
