@@ -829,9 +829,8 @@ impl Simulator {
             return;
         }
         // Swap the slot's buffer with the (empty) scratch list and swap it
-        // back drained: both allocations survive the cycle. Buffers rotate
-        // between slots this way, so a slot handed a smaller buffer than its
-        // next burst still grows it.
+        // back drained: both allocations survive the cycle, but buffers
+        // rotate between slots, so a slot may still grow the one it gets.
         let mut events = std::mem::take(&mut self.scratch.events);
         std::mem::swap(&mut events, &mut self.wheel[slot]);
         for ev in events.drain(..) {
